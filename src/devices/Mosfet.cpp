@@ -1,6 +1,9 @@
 #include "devices/Mosfet.h"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <memory>
 
 #include "devices/Passive.h"
 
@@ -36,6 +39,61 @@ FEval charge_fn(double x) {
   return {sp.value * sp.value, sp.value * sp.derivative};
 }
 
+// --- ekv_eval memo (see Mosfet.h) ----------------------------------------
+
+// Exact bit patterns of every input ekv_eval_uncached reads. Comparing
+// bits rather than values keeps ±0.0 (and any NaN payload) apart, so a hit
+// is exactly the call that filled the slot.
+struct EkvKey {
+  std::array<std::uint64_t, 6> bits;  // v_g, v_d, v_s, vth_eff, kp, n_slope
+  bool pmos;
+};
+
+EkvKey ekv_key(const MosfetParams& p, double vth_eff, double v_g, double v_d,
+               double v_s) {
+  return {{std::bit_cast<std::uint64_t>(v_g), std::bit_cast<std::uint64_t>(v_d),
+           std::bit_cast<std::uint64_t>(v_s),
+           std::bit_cast<std::uint64_t>(vth_eff),
+           std::bit_cast<std::uint64_t>(p.kp),
+           std::bit_cast<std::uint64_t>(p.n_slope)},
+          p.type == MosType::Pmos};
+}
+
+static_assert(std::has_single_bit(kEkvMemoSlots));
+constexpr int kEkvMemoShift = 64 - std::countr_zero(kEkvMemoSlots);
+
+std::size_t ekv_slot(const EkvKey& k) {
+  // Multiplicative hashing with one odd constant per input: a product's
+  // high bits depend on every bit of its input, so keys differing only in
+  // the last mantissa bit still spread, and the six multiplies are
+  // independent (no serial chain on the hit path).
+  const auto& b = k.bits;
+  const std::uint64_t h =
+      (b[0] * 0x9E3779B97F4A7C15ULL + b[1] * 0xC2B2AE3D27D4EB4FULL) ^
+      (b[2] * 0x165667B19E3779F9ULL + b[3] * 0xD6E8FEB86659FD93ULL) ^
+      (b[4] * 0xFF51AFD7ED558CCDULL + b[5] * 0xC4CEB9FE1A85EC53ULL) ^
+      (k.pmos ? 0x94D049BB133111EBULL : 0);
+  return static_cast<std::size_t>(h >> kEkvMemoShift);
+}
+
+struct EkvSlot {
+  std::array<std::uint64_t, 6> bits;  // EkvKey, flattened so that `valid`
+  bool pmos;                          // packs beside `pmos`
+  bool valid;  // explicit occupancy: no key value is reserved to mean empty
+  MosEval value;
+};
+static_assert(sizeof(EkvSlot) == 88);
+
+struct EkvMemo {
+  std::array<EkvSlot, kEkvMemoSlots> slots{};  // value-initialized: all empty
+  EkvMemoStats stats;
+};
+
+EkvMemo& ekv_memo() {
+  thread_local const std::unique_ptr<EkvMemo> memo = std::make_unique<EkvMemo>();
+  return *memo;
+}
+
 }  // namespace
 
 MosfetParams MosfetParams::nmos_lp(double width_scale) {
@@ -63,6 +121,30 @@ MosfetParams MosfetParams::pmos_lp(double width_scale) {
 
 MosEval ekv_eval(const MosfetParams& p, double vth_eff, double v_g, double v_d,
                  double v_s) {
+  const EkvKey key = ekv_key(p, vth_eff, v_g, v_d, v_s);
+  EkvMemo& memo = ekv_memo();
+  ++memo.stats.lookups;
+  EkvSlot& slot = memo.slots[ekv_slot(key)];
+  if (slot.valid && slot.pmos == key.pmos && slot.bits == key.bits) {
+    ++memo.stats.hits;
+    return slot.value;
+  }
+  slot.value = ekv_eval_uncached(p, vth_eff, v_g, v_d, v_s);
+  slot.bits = key.bits;
+  slot.pmos = key.pmos;
+  slot.valid = true;
+  return slot.value;
+}
+
+EkvMemoStats ekv_memo_stats() { return ekv_memo().stats; }
+
+std::size_t ekv_memo_slot(const MosfetParams& p, double vth_eff, double v_g,
+                          double v_d, double v_s) {
+  return ekv_slot(ekv_key(p, vth_eff, v_g, v_d, v_s));
+}
+
+MosEval ekv_eval_uncached(const MosfetParams& p, double vth_eff, double v_g,
+                          double v_d, double v_s) {
   // For PMOS, mirror all voltages and negate the current.
   const double sign = (p.type == MosType::Nmos) ? 1.0 : -1.0;
   const double vg = sign * v_g;

@@ -10,6 +10,9 @@
 // TCAM's retention time, so it matters here.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+
 #include "devices/Passive.h"
 #include "spice/Device.h"
 #include "spice/Stamper.h"
@@ -53,8 +56,32 @@ struct MosEval {
 
 // Pure model evaluation given terminal voltages (shared with Fefet, which
 // substitutes a polarization-dependent threshold).
+//
+// ekv_eval is memoized: a bounded, direct-mapped, per-thread table keyed on
+// the exact bit patterns of every input the model reads (type, n_slope,
+// kp, vth_eff and the three terminal voltages). The model is a pure
+// function of those bits, so a hit returns exactly what a fresh evaluation
+// would. Cells of a TCAM row that hold the same (stored, key) trit pair sit
+// at identical node voltages, so most evaluations in a stamp pass repeat
+// one already made in the same pass. ekv_eval_uncached is the reference
+// evaluation behind the memo.
 MosEval ekv_eval(const MosfetParams& p, double vth_eff, double v_g, double v_d,
                  double v_s);
+MosEval ekv_eval_uncached(const MosfetParams& p, double vth_eff, double v_g,
+                          double v_d, double v_s);
+
+// Memo geometry and per-thread counters (tests and telemetry). The table
+// is allocated on a thread's first ekv_eval, so threads that never
+// evaluate a transistor (the BBD solver's pool workers) do not pay for it.
+inline constexpr std::size_t kEkvMemoSlots = 4096;
+struct EkvMemoStats {
+  std::uint64_t lookups = 0;
+  std::uint64_t hits = 0;
+};
+EkvMemoStats ekv_memo_stats();
+// Slot an input tuple maps to; exposed so tests can force collisions.
+std::size_t ekv_memo_slot(const MosfetParams& p, double vth_eff, double v_g,
+                          double v_d, double v_s);
 
 // Small-signal summary helpers behind Device::topology() (shared with
 // Fefet): effective switch resistance of the fully driven channel and

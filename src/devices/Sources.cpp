@@ -2,11 +2,21 @@
 
 namespace nemtcam::devices {
 
+SampledWave::SampledWave(std::unique_ptr<Waveform> wave)
+    : wave_(std::move(wave)) {
+  NEMTCAM_EXPECT(wave_ != nullptr);
+}
+
+void SampledWave::reset(std::unique_ptr<Waveform> wave) {
+  NEMTCAM_EXPECT(wave != nullptr);
+  wave_ = std::move(wave);
+  valid_ = false;
+}
+
 VSource::VSource(std::string name, NodeId plus, NodeId minus,
                  std::unique_ptr<Waveform> wave, double series_ohms)
     : Device(std::move(name)), plus_(plus), minus_(minus),
       wave_(std::move(wave)), series_ohms_(series_ohms) {
-  NEMTCAM_EXPECT(wave_ != nullptr);
   NEMTCAM_EXPECT(series_ohms_ >= 0.0);
 }
 
@@ -17,7 +27,7 @@ VSource::VSource(std::string name, NodeId plus, NodeId minus, double dc_volts,
 
 void VSource::stamp(Stamper& s, const StampContext& ctx) {
   s.voltage_source(plus_, minus_, first_branch(),
-                   ctx.source_scale() * wave_->value(ctx.t()));
+                   ctx.source_scale() * wave_.at(ctx.t()));
   if (series_ohms_ > 0.0)
     s.branch_series_resistance(first_branch(), series_ohms_);
 }
@@ -28,41 +38,38 @@ double VSource::delivered_power(const StampContext& ctx) const {
   // driver's own series resistance as energy drawn from the supply —
   // matching how SPICE benchmarking measures write/search energy.
   const double i = ctx.branch_current(first_branch());
-  return -wave_->value(ctx.t()) * i;
+  return -wave_.at(ctx.t()) * i;
 }
 
 std::vector<double> VSource::breakpoints(double t_end) const {
-  return wave_->breakpoints(t_end);
+  return wave_.wave().breakpoints(t_end);
 }
 
 void VSource::set_wave(std::unique_ptr<Waveform> wave) {
-  NEMTCAM_EXPECT(wave != nullptr);
-  wave_ = std::move(wave);
+  wave_.reset(std::move(wave));
 }
 
 ISource::ISource(std::string name, NodeId from, NodeId to,
                  std::unique_ptr<Waveform> wave)
-    : Device(std::move(name)), from_(from), to_(to), wave_(std::move(wave)) {
-  NEMTCAM_EXPECT(wave_ != nullptr);
-}
+    : Device(std::move(name)), from_(from), to_(to), wave_(std::move(wave)) {}
 
 ISource::ISource(std::string name, NodeId from, NodeId to, double dc_amps)
     : ISource(std::move(name), from, to,
               std::make_unique<spice::DcWave>(dc_amps)) {}
 
 void ISource::stamp(Stamper& s, const StampContext& ctx) {
-  s.current(from_, to_, ctx.source_scale() * wave_->value(ctx.t()));
+  s.current(from_, to_, ctx.source_scale() * wave_.at(ctx.t()));
 }
 
 double ISource::delivered_power(const StampContext& ctx) const {
   // The source carries current i from `from_` to `to_`; like any two-
   // terminal element it absorbs v_ab·i, so it delivers −v_ab·i.
-  const double i = wave_->value(ctx.t());
+  const double i = wave_.at(ctx.t());
   return (ctx.v(to_) - ctx.v(from_)) * i;
 }
 
 std::vector<double> ISource::breakpoints(double t_end) const {
-  return wave_->breakpoints(t_end);
+  return wave_.wave().breakpoints(t_end);
 }
 
 
@@ -76,8 +83,8 @@ spice::DeviceTopology VSource::topology() const {
   // window reads the settled level.
   constexpr double kSettleHorizon = 1.0;  // s; far beyond any transaction
   t.source_is_voltage = true;
-  t.source_v_init = wave_->value(0.0);
-  t.source_v_final = wave_->value(kSettleHorizon);
+  t.source_v_init = wave_.wave().value(0.0);
+  t.source_v_final = wave_.wave().value(kSettleHorizon);
   t.source_r_series = series_ohms_;
   return t;
 }

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include "devices/Fefet.h"
 #include "devices/Mosfet.h"
@@ -100,6 +108,157 @@ TEST(Mosfet, DerivativesMatchFiniteDifference) {
   EXPECT_NEAR(e.g_vg, dg, 1e-6 * std::fabs(dg) + 1e-12);
   EXPECT_NEAR(e.g_vd, dd, 1e-6 * std::fabs(dd) + 1e-12);
   EXPECT_NEAR(e.g_vs, ds, 1e-6 * std::fabs(ds) + 1e-12);
+}
+
+// --- EKV memo ------------------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// ekv_eval against the reference evaluation, every field bit for bit.
+void expect_memo_exact(const MosfetParams& p, double vth, double vg, double vd,
+                       double vs) {
+  const MosEval got = ekv_eval(p, vth, vg, vd, vs);
+  const MosEval want = ekv_eval_uncached(p, vth, vg, vd, vs);
+  EXPECT_TRUE(same_bits(got.ids, want.ids) && same_bits(got.g_vg, want.g_vg) &&
+              same_bits(got.g_vd, want.g_vd) && same_bits(got.g_vs, want.g_vs))
+      << "vth=" << vth << " vg=" << vg << " vd=" << vd << " vs=" << vs;
+}
+
+struct EkvInput {
+  MosfetParams p;
+  double vth, vg, vd, vs;
+};
+
+std::uint64_t memo_hits_during(const std::function<void()>& fn) {
+  const std::uint64_t before = ekv_memo_stats().hits;
+  fn();
+  return ekv_memo_stats().hits - before;
+}
+
+TEST(EkvMemo, MatchesUncachedBitForBitOverSeededSweep) {
+  // Parameter sets: NMOS, PMOS, a FeFET channel at both polarization
+  // thresholds, and a MOSFET whose V_th was moved by the aging hook.
+  Mosfet aged("Maged", 1, 2, 0, MosfetParams::nmos_lp(2.0));
+  aged.shift_vth(0.037);
+  FefetParams fp;
+  Fefet lvt("Flvt", 1, 2, 0, fp);
+  lvt.set_low_vth(true);
+  Fefet hvt("Fhvt", 1, 2, 0, fp);
+  hvt.set_low_vth(false);
+  const MosfetParams nmos = MosfetParams::nmos_lp();
+  const MosfetParams pmos = MosfetParams::pmos_lp(1.5);
+  const std::vector<std::pair<MosfetParams, double>> devices = {
+      {nmos, nmos.vth},         {pmos, pmos.vth},
+      {fp.fet, lvt.vth_eff()},  {fp.fet, hvt.vth_eff()},
+      {aged.params(), aged.params().vth}};
+  // Voltage pool: rails, signed zeros, subnormals, and seeded values over
+  // the write range. Drawing tuples from a small pool makes exact repeats
+  // (hits) common; the sweep is 4× the table, so slots collide and evict.
+  std::vector<double> volts = {0.0,   -0.0,   1.0,   -1.0,  0.5,  4.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::denorm_min(),
+                               1e-310, -2.5e-320};
+  std::mt19937_64 rng(20210115);
+  std::uniform_real_distribution<double> v_dist(-1.5, 4.5);
+  while (volts.size() < 40) volts.push_back(v_dist(rng));
+  std::uniform_int_distribution<std::size_t> pick_v(0, volts.size() - 1);
+  std::uniform_int_distribution<std::size_t> pick_d(0, devices.size() - 1);
+  std::vector<EkvInput> inputs;
+  for (std::size_t i = 0; i < 4 * kEkvMemoSlots; ++i) {
+    const auto& [p, vth] = devices[pick_d(rng)];
+    inputs.push_back({p, vth, volts[pick_v(rng)], volts[pick_v(rng)],
+                      volts[pick_v(rng)]});
+  }
+  const std::uint64_t hits = memo_hits_during([&] {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const EkvInput& in : inputs)
+        expect_memo_exact(in.p, in.vth, in.vg, in.vd, in.vs);
+      std::shuffle(inputs.begin(), inputs.end(), rng);
+    }
+  });
+  // expect_memo_exact looks each tuple up once; the sweep must have
+  // exercised the hit path, not only fills.
+  EXPECT_GT(hits, 0U);
+}
+
+TEST(EkvMemo, CollidingKeysEvictWithoutAliasing) {
+  const MosfetParams p = MosfetParams::nmos_lp();
+  const double vd = 0.7, vs = 0.1;
+  const double vg_a = 0.8;
+  const std::size_t slot = ekv_memo_slot(p, p.vth, vg_a, vd, vs);
+  // Find a second gate voltage that maps to the same slot.
+  double vg_b = vg_a;
+  do {
+    vg_b = std::nextafter(vg_b, 2.0);
+  } while (ekv_memo_slot(p, p.vth, vg_b, vd, vs) != slot);
+  ASSERT_NE(vg_a, vg_b);
+  EXPECT_EQ(memo_hits_during([&] {
+              for (int i = 0; i < 3; ++i) {
+                expect_memo_exact(p, p.vth, vg_a, vd, vs);
+                expect_memo_exact(p, p.vth, vg_b, vd, vs);
+              }
+            }),
+            0U);  // each lookup finds the other key in the slot
+  EXPECT_EQ(memo_hits_during([&] { expect_memo_exact(p, p.vth, vg_b, vd, vs); }),
+            1U);
+}
+
+TEST(EkvMemo, KeyCoversEveryInput) {
+  // Each variant differs from the base in exactly one input the model
+  // reads, so it must miss the base's slot content even when it maps to
+  // the same slot.
+  const MosfetParams base = MosfetParams::nmos_lp();
+  MosfetParams pmos = base;
+  pmos.type = MosType::Pmos;
+  MosfetParams kp = base;
+  kp.kp = std::nextafter(kp.kp, 1.0);
+  MosfetParams slope = base;
+  slope.n_slope = std::nextafter(slope.n_slope, 2.0);
+  const double vth = base.vth;
+  const std::vector<EkvInput> variants = {
+      {pmos, vth, 0.0, 0.6, 0.2},
+      {kp, vth, 0.0, 0.6, 0.2},
+      {slope, vth, 0.0, 0.6, 0.2},
+      {base, std::nextafter(vth, 1.0), 0.0, 0.6, 0.2},
+      {base, vth, -0.0, 0.6, 0.2},
+      {base, vth, 0.0, std::nextafter(0.6, 1.0), 0.2},
+      {base, vth, 0.0, 0.6, std::nextafter(0.2, 1.0)}};
+  for (const EkvInput& v : variants) {
+    expect_memo_exact(base, vth, 0.0, 0.6, 0.2);
+    EXPECT_EQ(memo_hits_during(
+                  [&] { expect_memo_exact(v.p, v.vth, v.vg, v.vd, v.vs); }),
+              0U);
+    EXPECT_EQ(memo_hits_during(
+                  [&] { expect_memo_exact(v.p, v.vth, v.vg, v.vd, v.vs); }),
+              1U);
+  }
+}
+
+TEST(EkvMemo, TablesArePerThread) {
+  const MosfetParams p = MosfetParams::nmos_lp();
+  expect_memo_exact(p, p.vth, 0.9, 0.3, 0.0);
+  std::uint64_t other_thread_hits = 1;
+  std::thread([&] {
+    other_thread_hits = memo_hits_during([&] {
+      expect_memo_exact(p, p.vth, 0.9, 0.3, 0.0);
+    });
+  }).join();
+  EXPECT_EQ(other_thread_hits, 0U);  // a fresh thread starts empty
+}
+
+// --- Sources -----------------------------------------------------------
+
+TEST(SampledWave, ReusesSampleOnlyForTheSameTimeAndDropsItOnReset) {
+  SampledWave w(std::make_unique<PwlWave>(
+      std::vector<std::pair<double, double>>{{0.0, 0.0}, {1e-9, 1.0}}));
+  EXPECT_TRUE(same_bits(w.at(0.25e-9), 0.25));
+  EXPECT_TRUE(same_bits(w.at(0.25e-9), 0.25));
+  EXPECT_TRUE(same_bits(w.at(0.75e-9), 0.75));
+  w.reset(std::make_unique<DcWave>(0.4));
+  EXPECT_TRUE(same_bits(w.at(0.75e-9), 0.4));
+  EXPECT_THROW(w.reset(nullptr), std::exception);
 }
 
 TEST(Mosfet, InverterSwitches) {

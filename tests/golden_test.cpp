@@ -1,0 +1,141 @@
+// Search goldens: one 64-wide search per row kind and key class, pinned to
+// the step, rejection and Newton counts and the delay/energy the simulator
+// produced when they were recorded. The counts must match exactly and the
+// delay/energy to 1e-12 relative, so a change meant to be bit-exact (the
+// EKV memo, the source sample cache) cannot move the simulated trajectory
+// without failing here.
+//
+// To re-record after a change that is meant to move simulated numbers, run
+//   ./build/tests/test_golden
+// and paste the "actual" rows each failure prints into kGolden.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdio>
+#include <string>
+
+#include "tcam/TcamRow.h"
+
+namespace {
+
+using namespace nemtcam;
+using namespace nemtcam::tcam;
+using core::Ternary;
+using core::TernaryWord;
+
+constexpr int kWidth = 64;
+constexpr int kRows = 64;
+// Fixed stored word: 64 trits, 6 of them X (10%, as perfbench's words).
+const char* const kStored =
+    "11X0101111000X1010000110X0001101010000X1111000111X1010X110011000";
+constexpr std::size_t kFlippedBit = 17;  // a non-X trit of kStored
+
+struct Golden {
+  TcamKind kind;
+  bool one_bit;  // key: exact match (false) or one-bit mismatch (true)
+  bool matched;
+  std::size_t steps;
+  std::size_t rejected;
+  std::size_t newton;
+  double latency;  // s
+  double energy;   // J
+};
+
+// Recorded before the EKV memo and the source sample cache landed.
+// clang-format off
+constexpr Golden kGolden[] = {
+    {TcamKind::Sram16T, false, true, 147, 21, 319, 0, 8.6957417473920282e-13},
+    {TcamKind::Sram16T, true, false, 155, 22, 360, 1.1213341038784658e-09, 8.8174993460334377e-13},
+    {TcamKind::Nem3T2N, false, true, 155, 23, 344, 0, 3.2576055966896389e-13},
+    {TcamKind::Nem3T2N, true, false, 171, 23, 386, 1.8656495171427201e-10, 3.2743061019447502e-13},
+    {TcamKind::Rram2T2R, false, true, 155, 24, 356, 6.7965307316204653e-10, 2.6353160855520414e-13},
+    {TcamKind::Rram2T2R, true, false, 160, 24, 374, 3.0534651053941787e-10, 2.6376711970484087e-13},
+    {TcamKind::Fefet2F, false, true, 125, 24, 256, 0, 1.8962393085877149e-13},
+    {TcamKind::Fefet2F, true, false, 138, 26, 297, 7.6268385009265827e-10, 2.2517839939001283e-13},
+    {TcamKind::Dtcam5T, false, true, 137, 23, 299, 0, 3.0125217063763494e-13},
+    {TcamKind::Dtcam5T, true, false, 142, 24, 328, 8.2950620755638763e-10, 3.0257960872352179e-13},
+    {TcamKind::Fefet4T2F, false, true, 155, 21, 322, 0, 2.381472675904927e-13},
+    {TcamKind::Fefet4T2F, true, false, 167, 22, 357, 8.7151406058882026e-10, 2.8414265842772235e-13},
+    {TcamKind::Mram4T2M, false, true, 367, 28, 773, 6.9471616888990372e-09, 6.3834936283669836e-11},
+    {TcamKind::Mram4T2M, true, false, 357, 23, 717, 4.9767242954799388e-09, 6.4291124476365348e-11},
+};
+// clang-format on
+
+TernaryWord exact_key() {
+  TernaryWord key(std::string{kStored});
+  for (std::size_t i = 0; i < key.size(); ++i)
+    if (key[i] == Ternary::X) key[i] = (i % 2 == 0) ? Ternary::One : Ternary::Zero;
+  return key;
+}
+
+TernaryWord one_bit_key() {
+  TernaryWord key = exact_key();
+  key[kFlippedBit] =
+      key[kFlippedBit] == Ternary::One ? Ternary::Zero : Ternary::One;
+  return key;
+}
+
+const char* enumerator(TcamKind kind) {
+  switch (kind) {
+    case TcamKind::Sram16T: return "Sram16T";
+    case TcamKind::Nem3T2N: return "Nem3T2N";
+    case TcamKind::Rram2T2R: return "Rram2T2R";
+    case TcamKind::Fefet2F: return "Fefet2F";
+    case TcamKind::Dtcam5T: return "Dtcam5T";
+    case TcamKind::Fefet4T2F: return "Fefet4T2F";
+    case TcamKind::Mram4T2M: return "Mram4T2M";
+  }
+  return "?";
+}
+
+bool close_rel(double actual, double expected) {
+  return std::abs(actual - expected) <= 1e-12 * std::abs(expected);
+}
+
+std::string row_text(TcamKind kind, bool one_bit, const SearchMetrics& m) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "{TcamKind::%s, %s, %s, %zu, %zu, %zu, %.17g, %.17g},",
+                enumerator(kind), one_bit ? "true" : "false",
+                m.matched ? "true" : "false", m.steps, m.steps_rejected,
+                m.newton_iters, m.latency, m.energy);
+  return buf;
+}
+
+class SearchGolden : public ::testing::TestWithParam<TcamKind> {};
+
+TEST_P(SearchGolden, SixtyFourWideSearchReproducesRecordedRun) {
+  ASSERT_EQ(std::string{kStored}.size(), static_cast<std::size_t>(kWidth));
+  auto row = make_row(GetParam(), kWidth, kRows);
+  row->store(TernaryWord(std::string{kStored}));
+  for (const bool one_bit : {false, true}) {
+    const SearchMetrics m = row->search(one_bit ? one_bit_key() : exact_key());
+    ASSERT_TRUE(m.ok) << m.note;
+    const std::string actual = row_text(GetParam(), one_bit, m);
+    const Golden* g = nullptr;
+    for (const Golden& row_golden : kGolden)
+      if (row_golden.kind == GetParam() && row_golden.one_bit == one_bit)
+        g = &row_golden;
+    if (g == nullptr) {
+      ADD_FAILURE() << "no golden; actual " << actual;
+      continue;
+    }
+    EXPECT_EQ(m.matched, g->matched) << "actual " << actual;
+    EXPECT_EQ(m.matched, !one_bit);
+    EXPECT_EQ(m.steps, g->steps) << "actual " << actual;
+    EXPECT_EQ(m.steps_rejected, g->rejected) << "actual " << actual;
+    EXPECT_EQ(m.newton_iters, g->newton) << "actual " << actual;
+    EXPECT_TRUE(close_rel(m.latency, g->latency)) << "actual " << actual;
+    EXPECT_TRUE(close_rel(m.energy, g->energy)) << "actual " << actual;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, SearchGolden,
+                         ::testing::Values(TcamKind::Sram16T, TcamKind::Nem3T2N,
+                                           TcamKind::Rram2T2R, TcamKind::Fefet2F,
+                                           TcamKind::Dtcam5T, TcamKind::Fefet4T2F,
+                                           TcamKind::Mram4T2M),
+                         [](const auto& param_info) {
+                           return std::string{enumerator(param_info.param)};
+                         });
+
+}  // namespace

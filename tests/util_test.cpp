@@ -157,13 +157,23 @@ TEST(ThreadPool, NestedParallelForInsideTaskCompletes) {
 TEST(ThreadPool, WaitIdleAssistsSubmittedWork) {
   util::ThreadPool pool(2);
   std::atomic<int> done{0};
+  // The spawn decision draws from its own ticket counter: if nested tasks
+  // also drew from `done`, one could take a ticket below 50 first and
+  // suppress an outer task's spawn, making the totals racy.
+  std::atomic<int> spawn_ticket{0};
+  std::atomic<int> spawned{0};
   for (int i = 0; i < 100; ++i)
     pool.submit([&] {
+      done.fetch_add(1);
       // Tasks may submit further tasks; wait_idle must cover those too.
-      if (done.fetch_add(1) < 50) pool.submit([&] { done.fetch_add(1); });
+      if (spawn_ticket.fetch_add(1) < 50) {
+        spawned.fetch_add(1);
+        pool.submit([&] { done.fetch_add(1); });
+      }
     });
   pool.wait_idle();
-  EXPECT_GE(done.load(), 150);
+  EXPECT_EQ(spawned.load(), 50);
+  EXPECT_EQ(done.load(), 150);
 }
 
 TEST(ThreadPool, ParallelForRethrowsTaskException) {

@@ -13,12 +13,17 @@
 #      threaded Schur accumulation and the integrator paths it calls are
 #      the only concurrency in the repo, so those labels are the race
 #      surface
-#   4. lint build (preset `lint`): -Wall -Wextra -Wshadow -Werror, plus
+#   4. repeat stage: the thread pool, sweep fan-out, per-thread EKV memo
+#      and array thread-count determinism tests run until they fail, up to
+#      50 times each, on the release build (preset `repeat`) and under
+#      TSan (preset `repeat-tsan`), so an intermittent race fails CI
+#      instead of passing most runs
+#   5. lint build (preset `lint`): -Wall -Wextra -Wshadow -Werror, plus
 #      clang-tidy when installed (the CMake option degrades gracefully)
-#   5. static ERC + STA margin rules over the shipped example decks
+#   6. static ERC + STA margin rules over the shipped example decks
 #      (including the hierarchical .subckt deck) via
 #      nemtcam_lint --sta --werror
-#   6. bench smokes: the CI-sized datacenter-lifetime sweep
+#   7. bench smokes: the CI-sized datacenter-lifetime sweep
 #      (bench_lifetime --smoke) and the STA bracketing/speedup gate
 #      (bench_sta --smoke) must complete with their internal gates green
 #
@@ -27,12 +32,12 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==== [1/6] release build + tests ===="
+echo "==== [1/7] release build + tests ===="
 cmake --preset release
 cmake --build --preset release -j
 ctest --preset all -j
 
-echo "==== [2/6] asan build + robustness/hier/array/lifetime/sta labels ===="
+echo "==== [2/7] asan build + robustness/hier/array/lifetime/sta labels ===="
 cmake --preset asan
 cmake --build --preset asan -j
 ctest --preset robustness-asan -j
@@ -41,20 +46,24 @@ ctest --preset array-asan -j
 ctest --preset lifetime-asan -j
 ctest --preset sta-asan -j
 
-echo "==== [3/6] tsan build + array/solver labels ===="
+echo "==== [3/7] tsan build + array/solver labels ===="
 cmake --preset tsan
 cmake --build --preset tsan -j
 ctest --preset array-tsan -j
 ctest --preset solver-tsan -j
 
-echo "==== [4/6] lint build (-Werror, clang-tidy if installed) ===="
+echo "==== [4/7] threaded-determinism tests, until-fail x50 (release + tsan) ===="
+ctest --preset repeat -j
+ctest --preset repeat-tsan -j
+
+echo "==== [5/7] lint build (-Werror, clang-tidy if installed) ===="
 cmake --preset lint
 cmake --build --preset lint -j
 
-echo "==== [5/6] ERC + STA margins over example decks (warnings are errors) ===="
+echo "==== [6/7] ERC + STA margins over example decks (warnings are errors) ===="
 build/tools/nemtcam_lint --sta --werror examples/decks/*.sp
 
-echo "==== [6/6] bench smokes (lifetime sweep, STA gate) ===="
+echo "==== [7/7] bench smokes (lifetime sweep, STA gate) ===="
 (cd build/bench && ./bench_lifetime --smoke)
 (cd build/bench && ./bench_sta --smoke)
 
