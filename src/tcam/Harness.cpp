@@ -26,6 +26,19 @@ std::unique_ptr<spice::Waveform> step_wave(double v0, double v1, double t_edge,
 
 }  // namespace
 
+WriteMetrics write_metrics(const spice::TransientResult& result) {
+  WriteMetrics m;
+  if (!result.finished) {
+    m.note = "transient failed: " + result.failure;
+    return m;
+  }
+  m.energy = result.total_source_energy();
+  m.steps = result.steps_taken;
+  m.steps_rejected = result.steps_rejected;
+  m.newton_iters = result.newton_iterations;
+  return m;
+}
+
 NodeId add_driven_line(spice::Circuit& c, const Calibration& cal,
                        const std::string& name, double c_line, double v0,
                        double v1, double t_edge) {

@@ -89,6 +89,11 @@ class SearchFixture {
   double t_end_;
 };
 
+// Starts a write transaction's metrics from its transient: the failure
+// note when the run did not finish, else the source energy and the
+// solver-effort counts. The caller decides ok/latency from device state.
+WriteMetrics write_metrics(const spice::TransientResult& result);
+
 // Adds a driven line: a node with wire capacitance `c_line` and a source
 // stepping from `v0` to `v1` at `t_edge` (20 ps edge) through the line
 // driver impedance. Returns the line node.

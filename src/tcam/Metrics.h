@@ -10,6 +10,10 @@ struct WriteMetrics {
   bool ok = false;          // all cells reached their target state
   double latency = 0.0;     // time from write assertion to last cell settled (s)
   double energy = 0.0;      // net energy delivered by all sources (J)
+  // Solver-effort telemetry, as on SearchMetrics.
+  std::size_t steps = 0;
+  std::size_t steps_rejected = 0;
+  std::size_t newton_iters = 0;
   std::string note;         // failure diagnostics
 };
 

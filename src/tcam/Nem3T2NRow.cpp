@@ -262,12 +262,8 @@ WriteMetrics Nem3T2NRow::simulate_write(const TernaryWord& old_word,
         spice::step_defaults(write_tpl_->t_end, 20e-12);
     const auto result = run_transient(ckt, opts);
 
-    WriteMetrics m;
-    if (!result.finished) {
-      m.note = "transient failed: " + result.failure;
-      return m;
-    }
-    m.energy = result.total_source_energy();
+    WriteMetrics m = write_metrics(result);
+    if (!result.finished) return m;
 
     double latest = 0.0;
     bool all_ok = true;
@@ -344,12 +340,8 @@ WriteMetrics Nem3T2NRow::simulate_write(const TernaryWord& old_word,
   const TransientOptions opts = spice::step_defaults(t_end, 20e-12);
   const auto result = run_transient(ckt, opts);
 
-  WriteMetrics m;
-  if (!result.finished) {
-    m.note = "transient failed: " + result.failure;
-    return m;
-  }
-  m.energy = result.total_source_energy();
+  WriteMetrics m = write_metrics(result);
+  if (!result.finished) return m;
 
   double latest = 0.0;
   bool all_ok = true;

@@ -220,12 +220,8 @@ WriteMetrics Rram2T2RRow::simulate_write(const TernaryWord& old_word,
   const TransientOptions opts = spice::step_defaults(t_end, 50e-12);
   const auto result = run_transient(ckt, opts);
 
-  WriteMetrics m;
-  if (!result.finished) {
-    m.note = "transient failed: " + result.failure;
-    return m;
-  }
-  m.energy = result.total_source_energy();
+  WriteMetrics m = write_metrics(result);
+  if (!result.finished) return m;
 
   bool all_ok = true;
   double latest = 0.0;

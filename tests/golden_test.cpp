@@ -1,19 +1,26 @@
-// Search goldens: one 64-wide search per row kind and key class, pinned to
-// the step, rejection and Newton counts and the delay/energy the simulator
-// produced when they were recorded. The counts must match exactly and the
-// delay/energy to 1e-12 relative, so a change meant to be bit-exact (the
-// EKV memo, the source sample cache) cannot move the simulated trajectory
-// without failing here.
+// Transaction goldens: one 64-wide search per row kind and key class, and
+// one 64-wide 3T2N write, pinned to the step, rejection and Newton counts
+// and the delay/energy the simulator produced when they were recorded. The
+// counts must match exactly and the delay/energy to 1e-12 relative, so a
+// change meant to be bit-exact (the EKV memo, the source sample cache)
+// cannot move the simulated trajectory without failing here.
+//
+// The 2T2R resistance-variation goldens were recorded from the flat
+// per-search netlist builder that variation used before it moved onto the
+// elaborated template. The two circuits number their nodes differently,
+// so those are pinned to the 0.1% the template-vs-flat suite enforced,
+// with the match decision exact.
 //
 // To re-record after a change that is meant to move simulated numbers, run
 //   ./build/tests/test_golden
-// and paste the "actual" rows each failure prints into kGolden.
+// and paste the "actual" rows each failure prints into the tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <string>
 
+#include "tcam/Rram2T2RRow.h"
 #include "tcam/TcamRow.h"
 
 namespace {
@@ -88,8 +95,8 @@ const char* enumerator(TcamKind kind) {
   return "?";
 }
 
-bool close_rel(double actual, double expected) {
-  return std::abs(actual - expected) <= 1e-12 * std::abs(expected);
+bool close_rel(double actual, double expected, double tol = 1e-12) {
+  return std::abs(actual - expected) <= tol * std::abs(expected);
 }
 
 std::string row_text(TcamKind kind, bool one_bit, const SearchMetrics& m) {
@@ -137,5 +144,73 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, SearchGolden,
                          [](const auto& param_info) {
                            return std::string{enumerator(param_info.param)};
                          });
+
+// Word the write golden replaces kStored with: 42 of 64 trits change.
+const char* const kWritten =
+    "00X10X01X001X001000011100X1101110111XX0X111X01X011X111110X0X0011";
+
+TEST(WriteGolden, SixtyFourWideNemWriteReproducesRecordedRun) {
+  ASSERT_EQ(std::string{kWritten}.size(), static_cast<std::size_t>(kWidth));
+  auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
+  row->store(TernaryWord(std::string{kStored}));
+  const WriteMetrics m = row->write(TernaryWord(std::string{kWritten}));
+  char actual[192];
+  std::snprintf(actual, sizeof actual, "%zu, %zu, %zu, %.17g, %.17g", m.steps,
+                m.steps_rejected, m.newton_iters, m.latency, m.energy);
+  ASSERT_TRUE(m.ok) << m.note;
+  EXPECT_EQ(m.steps, 146u) << "actual " << actual;
+  EXPECT_EQ(m.steps_rejected, 9u) << "actual " << actual;
+  EXPECT_EQ(m.newton_iters, 323u) << "actual " << actual;
+  EXPECT_TRUE(close_rel(m.latency, 2.0312757546707733e-09)) << "actual " << actual;
+  EXPECT_TRUE(close_rel(m.energy, 2.5539231362716223e-13)) << "actual " << actual;
+  EXPECT_EQ(row->stored(), TernaryWord(std::string{kWritten}));
+}
+
+struct VariationGolden {
+  std::uint64_t seed;
+  bool one_bit;
+  bool matched;
+  double latency;  // s
+  double energy;   // J
+};
+
+// Recorded from the flat builder, sigma = 0.3 (natural-log spread).
+// clang-format off
+constexpr VariationGolden kVariationGolden[] = {
+    {1, false, true, 6.6417000088309233e-10, 2.6373032374147839e-13},
+    {1, true, false, 3.0781721527266135e-10, 2.6397787864782458e-13},
+    {2, false, true, 6.4318529321455863e-10, 2.6395037887084824e-13},
+    {2, true, false, 3.2225254616145357e-10, 2.6415582781158137e-13},
+};
+// clang-format on
+
+TEST(RramVariationGolden, SixtyFourWideSearchesStayWithinRecordedRun) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    Rram2T2RRow row(kWidth, kRows, Calibration::standard());
+    row.set_resistance_sigma(0.3);
+    row.set_variation_seed(seed);
+    row.store(TernaryWord(std::string{kStored}));
+    for (const bool one_bit : {false, true}) {
+      const SearchMetrics m =
+          row.search(one_bit ? one_bit_key() : exact_key());
+      ASSERT_TRUE(m.ok) << m.note;
+      char actual[192];
+      std::snprintf(actual, sizeof actual, "{%llu, %s, %s, %.17g, %.17g},",
+                    static_cast<unsigned long long>(seed),
+                    one_bit ? "true" : "false", m.matched ? "true" : "false",
+                    m.latency, m.energy);
+      const VariationGolden* g = nullptr;
+      for (const VariationGolden& v : kVariationGolden)
+        if (v.seed == seed && v.one_bit == one_bit) g = &v;
+      if (g == nullptr) {
+        ADD_FAILURE() << "no golden; actual " << actual;
+        continue;
+      }
+      EXPECT_EQ(m.matched, g->matched) << "actual " << actual;
+      EXPECT_TRUE(close_rel(m.latency, g->latency, 1e-3)) << "actual " << actual;
+      EXPECT_TRUE(close_rel(m.energy, g->energy, 1e-3)) << "actual " << actual;
+    }
+  }
+}
 
 }  // namespace
