@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -15,7 +16,6 @@
 
 #include "core/Ternary.h"
 #include "erc/Checker.h"
-#include "hier/Elaborate.h"
 #include "spice/Transient.h"
 #include "tcam/TcamRow.h"
 #include "util/Table.h"
@@ -64,9 +64,9 @@ inline core::TernaryWord one_bit_mismatch_key(const core::TernaryWord& w) {
 // them as unknown. Lets any ablation bench be rerun at a different accuracy
 // target (or on the legacy fixed grid, optionally refined by --dt-scale)
 // without recompiling; --no-erc skips the pre-simulation ERC pass for
-// benches that time deliberately degenerate circuits; --no-hier routes
-// row transactions through the legacy flat builders instead of the
-// elaborated templates (the A/B twin of the NEMTCAM_NO_HIER env var).
+// benches that time deliberately degenerate circuits. A tolerance or scale
+// that is missing or not a positive number is a usage error (exit 2): the
+// bench must not run at the defaults while the caller believes otherwise.
 inline void consume_step_control_flags(int* argc, char** argv) {
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
@@ -75,27 +75,31 @@ inline void consume_step_control_flags(int* argc, char** argv) {
     const auto flag_value = [&](const char* name) -> bool {
       const std::size_t len = std::strlen(name);
       if (std::strncmp(a, name, len) != 0) return false;
+      const char* text = nullptr;
       if (a[len] == '=') {
-        val = std::atof(a + len + 1);
-        return true;
+        text = a + len + 1;
+      } else if (a[len] == '\0') {
+        text = i + 1 < *argc ? argv[++i] : "";
+      } else {
+        return false;  // a longer flag sharing the prefix
       }
-      if (a[len] == '\0' && i + 1 < *argc) {
-        val = std::atof(argv[++i]);
-        return true;
+      val = std::atof(text);
+      if (!(val > 0.0)) {
+        std::fprintf(stderr, "%s: %s needs a positive value, got '%s'\n",
+                     argv[0], name, text);
+        std::exit(2);
       }
-      return false;
+      return true;
     };
     if (std::strcmp(a, "--fixed-step") == 0) {
       spice::set_default_step_control(spice::StepControl::FixedGrowth);
     } else if (std::strcmp(a, "--no-erc") == 0) {
       erc::set_default_enforce(false);
-    } else if (std::strcmp(a, "--no-hier") == 0) {
-      hier::set_default_enabled(false);
-    } else if (flag_value("--reltol") && val > 0.0) {
+    } else if (flag_value("--reltol")) {
       spice::set_default_lte_tolerances(val, spice::default_lte_abstol_v());
-    } else if (flag_value("--abstol") && val > 0.0) {
+    } else if (flag_value("--abstol")) {
       spice::set_default_lte_tolerances(spice::default_lte_reltol(), val);
-    } else if (flag_value("--dt-scale") && val > 0.0) {
+    } else if (flag_value("--dt-scale")) {
       spice::set_default_fixed_dt_scale(val);
     } else {
       argv[out++] = argv[i];

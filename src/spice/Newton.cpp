@@ -1,14 +1,10 @@
 #include "spice/Newton.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "linalg/DenseLu.h"  // SingularMatrixError
-#include "linalg/SparseLu.h"
-#include "linalg/SparseMatrix.h"
 #include "linalg/StructuralRank.h"
 #include "spice/AssemblyCache.h"
 #include "spice/Recovery.h"
@@ -18,9 +14,6 @@
 namespace nemtcam::spice {
 
 namespace {
-
-std::atomic<bool> g_use_assembly_cache{
-    std::getenv("NEMTCAM_NO_ASSEMBLY_CACHE") == nullptr};
 
 // Applies the damped update and checks node-voltage convergence. Returns
 // true when converged.
@@ -54,10 +47,6 @@ bool apply_update(const std::vector<double>& v_new, std::vector<double>& v,
 
 }  // namespace
 
-bool default_use_assembly_cache() { return g_use_assembly_cache.load(); }
-
-void set_default_use_assembly_cache(bool on) { g_use_assembly_cache.store(on); }
-
 NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
                           std::vector<double>& v,
                           const std::vector<double>& v_prev,
@@ -68,74 +57,36 @@ NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
 
   NewtonResult result;
 
-  if (opts.use_assembly_cache) {
-    // Fast path: fixed-pattern stamping + symbolic-LU reuse.
-    AssemblyCache& cache = circuit.solver_cache();
-    std::vector<double> rhs(n);
-    for (int iter = 0; iter < opts.max_iterations; ++iter) {
-      result.iterations = iter + 1;
-      // A pass that deviates from the recorded stamp pattern (topology-
-      // visible mode change, e.g. DC vs transient) is redone once in
-      // build mode; the second pass always succeeds.
-      for (int pass = 0; pass < 2; ++pass) {
-        cache.begin(n);
-        std::fill(rhs.begin(), rhs.end(), 0.0);
-        Stamper stamper(cache, rhs, n_node);
-        StampContext ctx(t, dt, is_dc, n_node, &v, &v_prev, integrator);
-        ctx.set_source_scale(opts.source_scale);
-        for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
-        if (opts.gmin > 0.0)
-          for (int i = 1; i <= n_node; ++i)
-            stamper.conductance(static_cast<NodeId>(i), kGround, opts.gmin);
-        if (cache.finish()) break;
-        NEMTCAM_ENSURE_MSG(pass == 0, "assembly pattern unstable");
-      }
-
-      try {
-        // Dispatches to the BBD solver when the circuit carries a
-        // partition (array fixtures), else the monolithic SparseLu.
-        cache.factorize_and_solve(rhs);  // rhs becomes v_new
-        if (iter == 0)
-          log::debug("newton: n=", n, " nnz=", cache.view().nnz(),
-                     cache.using_bbd() ? " solver=bbd" : " solver=sparselu");
-      } catch (const linalg::SingularMatrixError&) {
-        log::debug("Newton: singular system at t=", t, " iter=", iter);
-        result.converged = false;
-        result.singular = true;
-        return result;
-      }
-
-      if (apply_update(rhs, v, n_node, opts, result)) {
-        result.converged = true;
-        return result;
-      }
-    }
-    return result;
-  }
-
-  // Legacy path: rebuild the SparseMatrix and run a full factorization
-  // every iteration. Kept for A/B benchmarking (bench_solver) and as the
-  // NEMTCAM_NO_ASSEMBLY_CACHE escape hatch.
-  linalg::SparseMatrix a(n, n);
+  // Fixed-pattern stamping into the circuit's AssemblyCache, reusing the
+  // symbolic LU across iterations and steps.
+  AssemblyCache& cache = circuit.solver_cache();
   std::vector<double> rhs(n);
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    a.clear();
-    std::fill(rhs.begin(), rhs.end(), 0.0);
-    Stamper stamper(a, rhs, n_node);
-    StampContext ctx(t, dt, is_dc, n_node, &v, &v_prev, integrator);
-    ctx.set_source_scale(opts.source_scale);
-    for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
-    if (opts.gmin > 0.0)
-      for (int i = 1; i <= n_node; ++i)
-        stamper.conductance(static_cast<NodeId>(i), kGround, opts.gmin);
+    // A pass that deviates from the recorded stamp pattern (topology-
+    // visible mode change, e.g. DC vs transient) is redone once in build
+    // mode; the second pass always succeeds.
+    for (int pass = 0; pass < 2; ++pass) {
+      cache.begin(n);
+      std::fill(rhs.begin(), rhs.end(), 0.0);
+      Stamper stamper(cache, rhs, n_node);
+      StampContext ctx(t, dt, is_dc, n_node, &v, &v_prev, integrator);
+      ctx.set_source_scale(opts.source_scale);
+      for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
+      if (opts.gmin > 0.0)
+        for (int i = 1; i <= n_node; ++i)
+          stamper.conductance(static_cast<NodeId>(i), kGround, opts.gmin);
+      if (cache.finish()) break;
+      NEMTCAM_ENSURE_MSG(pass == 0, "assembly pattern unstable");
+    }
 
-    std::vector<double> v_new;
     try {
-      linalg::SparseLu lu(a);
+      // Dispatches to the BBD solver when the circuit carries a partition
+      // (array fixtures), else the monolithic SparseLu.
+      cache.factorize_and_solve(rhs);  // rhs becomes v_new
       if (iter == 0)
-        log::debug("newton: n=", n, " nnz=", a.nnz(), " fill=", lu.fill_nnz());
-      v_new = lu.solve(rhs);
+        log::debug("newton: n=", n, " nnz=", cache.view().nnz(),
+                   cache.using_bbd() ? " solver=bbd" : " solver=sparselu");
     } catch (const linalg::SingularMatrixError&) {
       log::debug("Newton: singular system at t=", t, " iter=", iter);
       result.converged = false;
@@ -143,7 +94,7 @@ NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
       return result;
     }
 
-    if (apply_update(v_new, v, n_node, opts, result)) {
+    if (apply_update(rhs, v, n_node, opts, result)) {
       result.converged = true;
       return result;
     }

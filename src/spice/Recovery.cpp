@@ -66,7 +66,9 @@ struct LadderRun {
                        const NewtonOptions& opts, Integrator integrator) {
     --budget;
     const NewtonResult r =
-        solve_newton(circuit, t, dt, is_dc, v, v_prev, opts, integrator);
+        stage == LadderStage::FullRefactor
+            ? solve_refactoring(t, dt, is_dc, v, v_prev, opts, integrator)
+            : solve_newton(circuit, t, dt, is_dc, v, v_prev, opts, integrator);
     total_iterations += r.iterations;
     if (diag != nullptr) {
       LadderAttempt a;
@@ -86,6 +88,33 @@ struct LadderRun {
         diag->worst_delta = r.max_delta;
         diag->worst_node = unknown_name(circuit, r.worst_unknown);
       }
+    }
+    return r;
+  }
+
+  // Newton one iteration at a time, each on a freshly invalidated solver
+  // cache: every iteration rebuilds the stamp pattern and runs a full
+  // factorization with a fresh pivot order, which rescues pivot-order
+  // degeneration the cached symbolic LU cannot. The cache keeps the last
+  // iteration's pattern, so the next solve starts from a fresh analysis.
+  NewtonResult solve_refactoring(double t, double dt, bool is_dc,
+                                 std::vector<double>& v,
+                                 const std::vector<double>& v_prev,
+                                 const NewtonOptions& opts,
+                                 Integrator integrator) {
+    NewtonOptions one = opts;
+    one.max_iterations = 1;
+    NewtonResult r;
+    for (int iter = 0; iter < opts.max_iterations; ++iter) {
+      circuit.solver_cache().invalidate();
+      const NewtonResult step =
+          solve_newton(circuit, t, dt, is_dc, v, v_prev, one, integrator);
+      r.iterations = iter + 1;
+      r.converged = step.converged;
+      r.singular = step.singular;
+      r.max_delta = step.max_delta;
+      if (step.worst_unknown >= 0) r.worst_unknown = step.worst_unknown;
+      if (step.converged || step.singular) break;
     }
     return r;
   }
@@ -207,15 +236,11 @@ NewtonResult solve_newton_recovering(Circuit& circuit, double t, double dt,
     }
   }
 
-  // Stage 5: legacy full-refactorize path — a fresh pivot order every
-  // iteration, no recorded pattern. Also drops the cached pattern so the
-  // next fast-path solve rebuilds from scratch.
+  // Stage 5: full refactorization — a fresh stamp pattern, symbolic
+  // analysis and pivot order every iteration (one ladder attempt).
   if (!run.exhausted()) {
-    circuit.solver_cache().invalidate();
-    NewtonOptions nopts = tight;
-    nopts.use_assembly_cache = false;
     v = v_prev;
-    r = run.attempt(LadderStage::FullRefactor, t, dt, is_dc, v, v_prev, nopts,
+    r = run.attempt(LadderStage::FullRefactor, t, dt, is_dc, v, v_prev, tight,
                     integrator);
     if (r.converged) {
       run.mark_converged(LadderStage::FullRefactor, 0.0);

@@ -25,9 +25,10 @@
 //                        last. Rescues bistable/positive-feedback circuits
 //                        where full drive from a cold guess has no Newton
 //                        path.
-//   5. full-refactor   — the legacy no-assembly-cache path: rebuild the
-//                        matrix and run a fresh full factorization (fresh
-//                        pivot order) every iteration. Rescues pivot-order
+//   5. full-refactor   — invalidate the solver cache before every
+//                        iteration: a fresh stamp pattern, symbolic
+//                        analysis and full factorization (fresh pivot
+//                        order) each time. Rescues pivot-order
 //                        degeneration that the cached symbolic LU cannot.
 //
 // Every attempt is recorded in a SolverDiagnostics so a failure is
@@ -47,7 +48,7 @@ enum class LadderStage {
   DampedNewton,    // tighter damping + larger iteration budget
   GminRamp,        // gmin relaxation toward the caller's gmin
   SourceStepping,  // DC only: source continuation from 10% drive
-  FullRefactor,    // legacy path: full factorization every iteration
+  FullRefactor,    // fresh analysis + full factorization every iteration
 };
 
 const char* stage_name(LadderStage s);

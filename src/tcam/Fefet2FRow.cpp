@@ -63,38 +63,6 @@ SearchTemplateSpec fefet2f_search_spec(const Calibration& c) {
   return spec;
 }
 
-SearchMetrics Fefet2FRow::search(const TernaryWord& key) {
-  const Calibration& c = cal();
-  if (hier::default_enabled()) {
-    if (!search_tpl_)
-      search_tpl_ = std::make_unique<SearchTemplate>(fefet2f_search_spec(c),
-                                                     width(), array_rows());
-    return search_tpl_->search(key, stored_,
-                               search_tpl_->spec().t_strobe * strobe_scale());
-  }
-
-  SearchFixture fx(c, c.geo_fefet, width(), array_rows(), key);
-  Circuit& ckt = fx.circuit();
-
-  FefetParams fp;
-  fp.fet = MosfetParams::nmos_lp(c.w_fefet);
-
-  for (int i = 0; i < width(); ++i) {
-    const std::string sfx = std::to_string(i);
-    const FefetStates st = states_for(stored_[static_cast<std::size_t>(i)]);
-    auto& f1 = ckt.add<Fefet>("F1_" + sfx, fx.ml(), fx.sl(i), ckt.ground(), fp);
-    auto& f2 = ckt.add<Fefet>("F2_" + sfx, fx.ml(), fx.slb(i), ckt.ground(), fp);
-    f1.set_low_vth(st.f1_low_vth);
-    f2.set_low_vth(st.f2_low_vth);
-  }
-
-  // Two FeFETs per cell load the ML.
-  fx.checker().add_rule(erc::ml_fanin_rule(fx.ml(), fx.vdd(), 2 * width()));
-
-  const auto result = fx.run();
-  return fx.metrics(result, cal().t_strobe_fefet * strobe_scale());
-}
-
 WriteMetrics Fefet2FRow::simulate_write(const TernaryWord& old_word,
                                         const TernaryWord& new_word) {
   const Calibration& c = cal();

@@ -99,61 +99,6 @@ SearchTemplateSpec fefet4t2f_search_spec(const Calibration& c) {
   return spec;
 }
 
-SearchMetrics Fefet4T2FRow::search(const TernaryWord& key) {
-  const Calibration& c = cal();
-  if (hier::default_enabled()) {
-    if (!search_tpl_)
-      search_tpl_ = std::make_unique<SearchTemplate>(fefet4t2f_search_spec(c),
-                                                     width(), array_rows());
-    return search_tpl_->search(key, stored_,
-                               search_tpl_->spec().t_strobe * strobe_scale());
-  }
-
-  SearchFixture fx(c, kGeo, width(), array_rows(), key);
-  Circuit& ckt = fx.circuit();
-
-  FefetParams fp;
-  fp.fet = MosfetParams::nmos_lp(c.w_fefet);
-
-  // Read bias on the FeFET gates, reached through the on access devices
-  // (WL at the boosted level, BLs at VDD): between V_th,low and V_th,high.
-  const NodeId rd = ckt.node("rd");
-  ckt.add<VSource>("Vrd", rd, ckt.ground(), c.vdd);
-  ckt.set_ic(rd, c.vdd);
-  const NodeId wl = ckt.node("wl_rd");
-  ckt.add<VSource>("Vwl_rd", wl, ckt.ground(), c.v_wl_write);
-  ckt.set_ic(wl, c.v_wl_write);
-
-  for (int i = 0; i < width(); ++i) {
-    const std::string sfx = std::to_string(i);
-    const FefetStates st = states_for(stored_[static_cast<std::size_t>(i)]);
-    const NodeId mid_a = ckt.node("mida_" + sfx);
-    const NodeId mid_b = ckt.node("midb_" + sfx);
-    const NodeId fga = ckt.node("fga_" + sfx);
-    const NodeId fgb = ckt.node("fgb_" + sfx);
-
-    ckt.add<Mosfet>("Ma_" + sfx, fx.ml(), fx.sl(i), mid_a,
-                    MosfetParams::nmos_lp(c.w_fefet));
-    ckt.add<Mosfet>("Mb_" + sfx, fx.ml(), fx.slb(i), mid_b,
-                    MosfetParams::nmos_lp(c.w_fefet));
-    ckt.add<Mosfet>("Tacc_a_" + sfx, fga, wl, rd, c.nem_write_nmos());
-    ckt.add<Mosfet>("Tacc_b_" + sfx, fgb, wl, rd, c.nem_write_nmos());
-
-    auto& fa = ckt.add<Fefet>("Fa_" + sfx, mid_a, fga, ckt.ground(), fp);
-    auto& fb = ckt.add<Fefet>("Fb_" + sfx, mid_b, fgb, ckt.ground(), fp);
-    fa.set_low_vth(st.fa_low_vth);
-    fb.set_low_vth(st.fb_low_vth);
-    ckt.set_ic(fga, c.vdd);  // already biased when the search begins
-    ckt.set_ic(fgb, c.vdd);
-  }
-
-  // Two compare transistors per cell load the ML.
-  fx.checker().add_rule(erc::ml_fanin_rule(fx.ml(), fx.vdd(), 2 * width()));
-
-  const auto result = fx.run();
-  return fx.metrics(result, c.t_strobe_fefet * strobe_scale() * 1.6);
-}
-
 WriteMetrics Fefet4T2FRow::simulate_write(const TernaryWord& old_word,
                                           const TernaryWord& new_word) {
   const Calibration& c = cal();

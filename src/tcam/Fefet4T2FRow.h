@@ -23,7 +23,6 @@ class Fefet4T2FRow final : public TcamRow {
 
   TcamKind kind() const override { return TcamKind::Fefet4T2F; }
 
-  SearchMetrics search(const TernaryWord& key) override;
 
   struct FefetStates {
     bool fa_low_vth;

@@ -27,10 +27,17 @@ class Rram2T2RRow final : public TcamRow {
   SearchMetrics search(const TernaryWord& key) override;
 
   // Device-to-device LRS/HRS variation (log-normal sigma, natural log)
-  // applied to every RRAM in subsequently built netlists; used by the
-  // Monte-Carlo variation ablation.
-  void set_resistance_sigma(double sigma_log) { sigma_log_ = sigma_log; }
-  void set_variation_seed(std::uint64_t seed) { seed_ = seed; }
+  // applied to every RRAM of the search template from the next search on;
+  // used by the Monte-Carlo variation ablation. Either setter drops the
+  // template, so a search never runs on another setting's draws.
+  void set_resistance_sigma(double sigma_log) {
+    sigma_log_ = sigma_log;
+    reset_search_template();
+  }
+  void set_variation_seed(std::uint64_t seed) {
+    seed_ = seed;
+    reset_search_template();
+  }
 
   struct RramStates {
     bool a_lrs;

@@ -40,6 +40,20 @@ void TcamRow::store(const TernaryWord& word) {
   stored_ = word;
 }
 
+SearchTemplate& TcamRow::search_template() {
+  if (!search_tpl_)
+    search_tpl_ = std::make_unique<SearchTemplate>(
+        search_spec_for(kind(), cal_), width_, array_rows_);
+  return *search_tpl_;
+}
+
+void TcamRow::reset_search_template() { search_tpl_.reset(); }
+
+SearchMetrics TcamRow::search(const TernaryWord& key) {
+  SearchTemplate& tpl = search_template();
+  return tpl.search(key, stored_, tpl.spec().t_strobe * strobe_scale());
+}
+
 WriteMetrics TcamRow::write(const TernaryWord& word) {
   NEMTCAM_EXPECT(static_cast<int>(word.size()) == width());
   const TernaryWord old_word = stored_;

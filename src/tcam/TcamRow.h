@@ -6,10 +6,12 @@
 // width — matching the paper's "per-row measurement on a 64×64 array with
 // line parasitics scaled by cell size" methodology.
 //
-// Every transaction (write / search / refresh) builds a fresh transistor-
-// level netlist seeded from the currently stored word and runs a transient
-// analysis on it; metrics come from the waveforms and device state
-// telemetry, exactly like .measure on a SPICE deck.
+// Every transaction (write / search / refresh) runs a transient analysis on
+// a transistor-level netlist seeded from the currently stored word; metrics
+// come from the waveforms and device state telemetry, exactly like .measure
+// on a SPICE deck. Searches build that netlist once per stored word from
+// the kind's elaborated SearchTemplate (search_spec_for, RowSpecs.h) and
+// replay it for every key.
 #pragma once
 
 #include <memory>
@@ -56,8 +58,9 @@ class TcamRow {
   // On success the stored word is updated.
   WriteMetrics write(const TernaryWord& word);
 
-  // Simulates a search against the stored word.
-  virtual SearchMetrics search(const TernaryWord& key) = 0;
+  // Simulates a search against the stored word on the row's search
+  // template.
+  virtual SearchMetrics search(const TernaryWord& key);
 
  protected:
   TcamRow(int width, int array_rows, const Calibration& cal);
@@ -72,15 +75,17 @@ class TcamRow {
   virtual WriteMetrics simulate_write(const TernaryWord& old_word,
                                       const TernaryWord& new_word) = 0;
 
+  // The elaborated search transaction, created on first use from
+  // search_spec_for(kind(), cal()); replays rebind instead of
+  // reconstructing. reset_search_template() drops it, so the next search
+  // elaborates afresh.
+  SearchTemplate& search_template();
+  void reset_search_template();
+
   TernaryWord stored_;
 
-  // Lazily built elaborated search transaction (hier::default_enabled()
-  // path). Row builders fill it on first search; replays rebind instead
-  // of reconstructing. Rows with per-search stochastic device parameters
-  // (RRAM variation) leave it unset and fall back to the flat builder.
-  std::unique_ptr<SearchTemplate> search_tpl_;
-
  private:
+  std::unique_ptr<SearchTemplate> search_tpl_;
   int width_;
   int array_rows_;
   Calibration cal_;

@@ -7,9 +7,9 @@
 //
 // The 2T2R resistance-variation goldens were recorded from the flat
 // per-search netlist builder that variation used before it moved onto the
-// elaborated template. The two circuits number their nodes differently,
-// so those are pinned to the 0.1% the template-vs-flat suite enforced,
-// with the match decision exact.
+// elaborated template. The template reproduces them bit for bit, so they
+// are pinned at 1e-12 too (the move itself only required the match
+// decision exact and delay/energy within 0.1%).
 //
 // To re-record after a change that is meant to move simulated numbers, run
 //   ./build/tests/test_golden
@@ -95,8 +95,8 @@ const char* enumerator(TcamKind kind) {
   return "?";
 }
 
-bool close_rel(double actual, double expected, double tol = 1e-12) {
-  return std::abs(actual - expected) <= tol * std::abs(expected);
+bool close_rel(double actual, double expected) {
+  return std::abs(actual - expected) <= 1e-12 * std::abs(expected);
 }
 
 std::string row_text(TcamKind kind, bool one_bit, const SearchMetrics& m) {
@@ -207,8 +207,8 @@ TEST(RramVariationGolden, SixtyFourWideSearchesStayWithinRecordedRun) {
         continue;
       }
       EXPECT_EQ(m.matched, g->matched) << "actual " << actual;
-      EXPECT_TRUE(close_rel(m.latency, g->latency, 1e-3)) << "actual " << actual;
-      EXPECT_TRUE(close_rel(m.energy, g->energy, 1e-3)) << "actual " << actual;
+      EXPECT_TRUE(close_rel(m.latency, g->latency)) << "actual " << actual;
+      EXPECT_TRUE(close_rel(m.energy, g->energy)) << "actual " << actual;
     }
   }
 }

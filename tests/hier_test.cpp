@@ -1,9 +1,11 @@
 // Hierarchical-IR acceptance suite (ctest label: hier).
 //
-// Covers the elaborate-once contract end to end: every row design's
-// template-path search must reproduce the legacy flat builder's metrics,
-// a replayed search must not rebuild or re-stamp anything, and a textual
-// .subckt deck must parse, elaborate, pass ERC and simulate.
+// Covers the elaborate-once contract end to end: on every row design a
+// search replayed on a rebound template must reproduce one on a freshly
+// elaborated template, a replayed search must not rebuild or re-stamp
+// anything, and a textual .subckt deck must parse, elaborate, pass ERC and
+// simulate. The simulated numbers themselves are pinned by the goldens
+// (golden_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,36 +29,24 @@ using core::TernaryWord;
 constexpr int kWidth = 8;
 constexpr int kRows = 64;
 
-// Scoped override of the process-wide template-path default, so tests can
-// A/B the two builders without leaking state into each other.
-class HierMode {
- public:
-  explicit HierMode(bool on) : prev_(hier::default_enabled()) {
-    hier::set_default_enabled(on);
-  }
-  ~HierMode() { hier::set_default_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
 // |a - b| within 0.1% of |b| (or both ~0).
 void expect_close(double a, double b, const char* what) {
   const double tol = 1e-3 * std::max(std::abs(b), 1e-30);
-  EXPECT_NEAR(a, b, tol) << what << ": template=" << a << " flat=" << b;
+  EXPECT_NEAR(a, b, tol) << what << ": replayed=" << a << " fresh=" << b;
 }
 
-void expect_equivalent(const SearchMetrics& tpl, const SearchMetrics& flat) {
-  ASSERT_TRUE(tpl.ok) << tpl.note;
-  ASSERT_TRUE(flat.ok) << flat.note;
-  EXPECT_EQ(tpl.matched, flat.matched);
-  expect_close(tpl.latency, flat.latency, "latency");
-  expect_close(tpl.energy, flat.energy, "energy");
+void expect_equivalent(const SearchMetrics& replayed,
+                       const SearchMetrics& fresh) {
+  ASSERT_TRUE(replayed.ok) << replayed.note;
+  ASSERT_TRUE(fresh.ok) << fresh.note;
+  EXPECT_EQ(replayed.matched, fresh.matched);
+  expect_close(replayed.latency, fresh.latency, "latency");
+  expect_close(replayed.energy, fresh.energy, "energy");
   // A replayed solve refactorizes on the cached pattern, so the ~nV
   // discharge residue can differ at rounding level; a 1 µV absolute floor
   // keeps the check meaningful against the 1 V signal scale.
-  EXPECT_NEAR(tpl.ml_min, flat.ml_min,
-              std::max(1e-3 * std::abs(flat.ml_min), 1e-6));
+  EXPECT_NEAR(replayed.ml_min, fresh.ml_min,
+              std::max(1e-3 * std::abs(fresh.ml_min), 1e-6));
 }
 
 class AllKindsHier : public ::testing::TestWithParam<TcamKind> {};
@@ -79,34 +69,35 @@ INSTANTIATE_TEST_SUITE_P(
       return "unknown";
     });
 
-TEST_P(AllKindsHier, TemplatePathMatchesFlatPath) {
+// A search replayed on a template built for another key (SL waveforms
+// rebound, device state re-seeded, symbolic LU reused) reproduces the same
+// search on a freshly elaborated template, and elaborates nothing.
+TEST_P(AllKindsHier, ReplayedSearchMatchesFreshTemplate) {
   const TernaryWord word("10X10010");
   const TernaryWord match_key("10110010");   // X columns are don't-care
   const TernaryWord mismatch_key("00110010");
+  const auto fresh_search = [&](const TernaryWord& key) {
+    auto row = make_row(GetParam(), kWidth, kRows);
+    row->store(word);
+    return row->search(key);
+  };
 
-  SearchMetrics tpl_match, tpl_miss, flat_match, flat_miss;
-  {
-    HierMode mode(true);
-    auto row = make_row(GetParam(), kWidth, kRows);
-    row->store(word);
-    tpl_match = row->search(match_key);
-    tpl_miss = row->search(mismatch_key);
-  }
-  {
-    HierMode mode(false);
-    auto row = make_row(GetParam(), kWidth, kRows);
-    row->store(word);
-    flat_match = row->search(match_key);
-    flat_miss = row->search(mismatch_key);
-  }
-  EXPECT_TRUE(tpl_match.matched);
-  EXPECT_FALSE(tpl_miss.matched);
-  expect_equivalent(tpl_match, flat_match);
-  expect_equivalent(tpl_miss, flat_miss);
+  auto row = make_row(GetParam(), kWidth, kRows);
+  row->store(word);
+  ASSERT_TRUE(row->search(match_key).ok);
+  const hier::Stats before = hier::stats();
+  const SearchMetrics miss = row->search(mismatch_key);
+  const SearchMetrics match = row->search(match_key);
+  const hier::Stats after = hier::stats();
+
+  EXPECT_EQ(after.instances_elaborated, before.instances_elaborated);
+  EXPECT_TRUE(match.matched);
+  EXPECT_FALSE(miss.matched);
+  expect_equivalent(miss, fresh_search(mismatch_key));
+  expect_equivalent(match, fresh_search(match_key));
 }
 
 TEST(HierTemplate, ReplayedSearchRebuildsNothing) {
-  HierMode mode(true);
   auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
   row->store(TernaryWord("1011X010"));
 
@@ -137,7 +128,6 @@ TEST(HierTemplate, ReplayedSearchRebuildsNothing) {
 }
 
 TEST(HierTemplate, StoreOfNewWordRebuildsAndStaysCorrect) {
-  HierMode mode(true);
   auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
   row->store(TernaryWord("11110000"));
   EXPECT_TRUE(row->search(TernaryWord("11110000")).matched);
@@ -151,31 +141,7 @@ TEST(HierTemplate, StoreOfNewWordRebuildsAndStaysCorrect) {
   EXPECT_FALSE(row->search(TernaryWord("11110000")).matched);
 }
 
-TEST(HierTemplate, WriteTemplateMatchesFlatWrite) {
-  const TernaryWord old_word("10110010");
-  const TernaryWord new_word("01X01101");
-
-  WriteMetrics tpl, flat;
-  {
-    HierMode mode(true);
-    auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
-    row->store(old_word);
-    tpl = row->write(new_word);
-  }
-  {
-    HierMode mode(false);
-    auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
-    row->store(old_word);
-    flat = row->write(new_word);
-  }
-  ASSERT_TRUE(tpl.ok) << tpl.note;
-  ASSERT_TRUE(flat.ok) << flat.note;
-  expect_close(tpl.latency, flat.latency, "write latency");
-  expect_close(tpl.energy, flat.energy, "write energy");
-}
-
 TEST(HierTemplate, ReplayedWriteRebuildsNothing) {
-  HierMode mode(true);
   auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
   row->store(TernaryWord("10110010"));
   ASSERT_TRUE(row->write(TernaryWord("01001101")).ok);
@@ -188,22 +154,42 @@ TEST(HierTemplate, ReplayedWriteRebuildsNothing) {
   EXPECT_EQ(after.cards_emitted, before.cards_emitted);
 }
 
-TEST(HierTemplate, RramVariationFallsBackToFlatBuilder) {
-  // Per-search lognormal draws are incompatible with elaborate-once; the
-  // row must keep working (via the flat builder) when variation is on.
-  HierMode mode(true);
+TEST(HierTemplate, RramVariationElaboratesOnceAndReplays) {
+  // The lognormal draws depend only on (seed, sigma), so a varied row
+  // elaborates its template once and replays it like a nominal one.
   auto row = make_row(TcamKind::Rram2T2R, kWidth, kRows);
   auto* rram = dynamic_cast<Rram2T2RRow*>(row.get());
   ASSERT_NE(rram, nullptr);
   rram->set_resistance_sigma(0.3);
   row->store(TernaryWord("10110010"));
   const hier::Stats before = hier::stats();
-  const SearchMetrics m = row->search(TernaryWord("10110010"));
+  const SearchMetrics first = row->search(TernaryWord("10110010"));
+  const hier::Stats built = hier::stats();
+  const SearchMetrics miss = row->search(TernaryWord("00110010"));
+  const SearchMetrics again = row->search(TernaryWord("10110010"));
   const hier::Stats after = hier::stats();
-  ASSERT_TRUE(m.ok) << m.note;
-  EXPECT_TRUE(m.matched);
-  // No template was elaborated for the stochastic path.
-  EXPECT_EQ(after.instances_elaborated, before.instances_elaborated);
+
+  ASSERT_TRUE(first.ok && miss.ok && again.ok) << first.note << miss.note
+                                                << again.note;
+  EXPECT_EQ(built.instances_elaborated - before.instances_elaborated,
+            static_cast<std::uint64_t>(kWidth));
+  EXPECT_EQ(after.instances_elaborated, built.instances_elaborated);
+  EXPECT_EQ(after.cards_emitted, built.cards_emitted);
+  EXPECT_EQ(first.stamp_pattern_builds, again.stamp_pattern_builds);
+  EXPECT_TRUE(first.matched);
+  EXPECT_FALSE(miss.matched);
+  EXPECT_TRUE(again.matched);
+  // The same draws apply on every replay.
+  EXPECT_NEAR(again.ml_min, first.ml_min, 1e-9);
+
+  // A new seed drops the template: the next search elaborates again, on
+  // other draws.
+  rram->set_variation_seed(2);
+  const SearchMetrics reseeded = row->search(TernaryWord("10110010"));
+  ASSERT_TRUE(reseeded.ok) << reseeded.note;
+  EXPECT_EQ(hier::stats().instances_elaborated - after.instances_elaborated,
+            static_cast<std::uint64_t>(kWidth));
+  EXPECT_NE(reseeded.ml_min, first.ml_min);
 }
 
 TEST(HierDeck, SubcktDeckParsesErcCleanAndSimulates) {

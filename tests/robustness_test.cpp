@@ -14,6 +14,7 @@
 #include "devices/Passive.h"
 #include "devices/Sources.h"
 #include "netlist/Netlist.h"
+#include "spice/AssemblyCache.h"
 #include "spice/Newton.h"
 #include "spice/Recovery.h"
 #include "spice/Transient.h"
@@ -156,6 +157,54 @@ TEST(NewtonStall, RecoveryLadderRescuesLatchBeyondPlainNewton) {
   EXPECT_LE(va, 1.0 + 1e-6);
   EXPECT_GE(vb, 0.0);
   EXPECT_LE(vb, 1.0 + 1e-6);
+}
+
+// Stage 5 keeps its contract on the solver cache: every iteration starts
+// from an invalidated cache, so it rebuilds the stamp pattern and runs a
+// full factorization (fresh pivot order), all as one ladder attempt.
+TEST(NewtonStall, FullRefactorStageRebuildsPatternEveryIteration) {
+  // The latch with a one-iteration budget (four in the recovery stages)
+  // fails every stage, so the ladder runs until its budget is spent.
+  const auto run_ladder = [](int retry_budget, SolverDiagnostics& diag) {
+    Circuit ckt;
+    build_bistable_latch(ckt);
+    std::vector<double> v(static_cast<std::size_t>(ckt.unknown_count()), 0.0);
+    const std::vector<double> v_prev = v;
+    NewtonOptions opts;
+    opts.max_iterations = 1;
+    RecoveryOptions rec;
+    rec.retry_budget = retry_budget;
+    solve_newton_recovering(ckt, 0.0, 0.0, /*is_dc=*/true, v, v_prev, opts,
+                            rec, &diag);
+    return ckt.solver_cache().stats();
+  };
+
+  SolverDiagnostics full;
+  const AssemblyCache::Stats with_stage5 = run_ladder(12, full);
+  ASSERT_FALSE(full.attempts.empty());
+  const LadderAttempt& last = full.attempts.back();
+  ASSERT_EQ(last.stage, LadderStage::FullRefactor) << full.summary();
+  int refactor_attempts = 0;
+  for (const LadderAttempt& a : full.attempts)
+    if (a.stage == LadderStage::FullRefactor) ++refactor_attempts;
+  EXPECT_EQ(refactor_attempts, 1);
+  ASSERT_GT(last.iterations, 1);
+
+  // The same ladder with the budget ending just before stage 5.
+  const int before_stage5 = static_cast<int>(full.attempts.size()) - 1;
+  SolverDiagnostics cut;
+  const AssemblyCache::Stats without_stage5 =
+      run_ladder(before_stage5 - 1, cut);
+  ASSERT_EQ(static_cast<int>(cut.attempts.size()), before_stage5);
+  EXPECT_NE(cut.attempts.back().stage, LadderStage::FullRefactor);
+
+  const auto iterations = static_cast<std::uint64_t>(last.iterations);
+  EXPECT_EQ(with_stage5.pattern_builds - without_stage5.pattern_builds,
+            iterations);
+  EXPECT_EQ(with_stage5.full_factorizations -
+                without_stage5.full_factorizations,
+            iterations);
+  EXPECT_EQ(with_stage5.refactorizations, without_stage5.refactorizations);
 }
 
 TEST(DcPartial, FailedDcReturnsBestPartialWithAttribution) {

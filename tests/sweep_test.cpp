@@ -142,30 +142,4 @@ TEST(RunSweep, RramVariationSweepIsThreadCountInvariant) {
   for (std::size_t i = 0; i < r1.size(); ++i) EXPECT_TRUE(r1[i] == rn[i]);
 }
 
-// Assembly-cache Newton path vs the legacy rebuild path on the same
-// transaction. The two paths may pick different (equally valid) pivot
-// sequences, so agreement is to solver tolerance, not bitwise.
-TEST(SolverFastPath, MatchesLegacyNewtonPathOnTcamSearch) {
-  const auto run_one = [] {
-    Rram2T2RRow row(8, 16, Calibration::standard());
-    core::TernaryWord word(8);
-    for (std::size_t i = 0; i < 8; ++i)
-      word[i] = (i % 2) ? core::Ternary::Zero : core::Ternary::One;
-    row.store(word);
-    return row.search(word);
-  };
-  spice::set_default_use_assembly_cache(true);
-  const SearchMetrics fast = run_one();
-  spice::set_default_use_assembly_cache(false);
-  const SearchMetrics legacy = run_one();
-  spice::set_default_use_assembly_cache(true);
-
-  ASSERT_TRUE(fast.ok);
-  ASSERT_TRUE(legacy.ok);
-  EXPECT_EQ(fast.matched, legacy.matched);
-  EXPECT_NEAR(fast.ml_min, legacy.ml_min, 1e-6);
-  EXPECT_NEAR(fast.ml_final, legacy.ml_final, 1e-6);
-  EXPECT_NEAR(fast.energy, legacy.energy, 1e-6 * std::abs(legacy.energy) + 1e-18);
-}
-
 }  // namespace

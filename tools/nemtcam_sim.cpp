@@ -19,10 +19,8 @@
 // the deck with the structured findings report, warnings print and the
 // simulation proceeds. --no-erc (or NEMTCAM_NO_ERC) skips the pass.
 //
-// --no-hier (or NEMTCAM_NO_HIER) flips the process-wide hierarchical
-// default off: .subckt decks still elaborate, but any row-builder code
-// hosted in this process falls back to the legacy flat construction —
-// the A/B switch used by the template-vs-flat equivalence runs.
+// .subckt decks elaborate through src/hier/ into one flat circuit with
+// scoped names ("Xcell3.N1"), exactly as the row templates do.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "erc/Checker.h"
-#include "hier/Elaborate.h"
 #include "netlist/Netlist.h"
 #include "spice/Newton.h"
 #include "spice/Transient.h"
@@ -48,8 +45,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: nemtcam_sim <deck.sp> [more decks...]"
                " [--points N] [--threads N]"
-               " [--reltol X] [--abstol X] [--fixed-step] [--no-erc]"
-               " [--no-hier]\n");
+               " [--reltol X] [--abstol X] [--fixed-step] [--no-erc]\n");
   return 2;
 }
 
@@ -194,8 +190,6 @@ int main(int argc, char** argv) {
       set_default_step_control(StepControl::FixedGrowth);
     } else if (std::strcmp(argv[i], "--no-erc") == 0) {
       erc::set_default_enforce(false);
-    } else if (std::strcmp(argv[i], "--no-hier") == 0) {
-      hier::set_default_enabled(false);
     } else if (argv[i][0] != '-') {
       paths.emplace_back(argv[i]);
     } else {
