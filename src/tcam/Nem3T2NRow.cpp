@@ -146,8 +146,6 @@ SearchTemplateSpec nem3t2n_search_spec(const Calibration& c) {
 struct NemWriteTemplate {
   Circuit ckt;
   std::vector<hier::InstanceHandles> cells;
-  double t0 = 0.0;
-  double t_end = 0.0;
 };
 
 Nem3T2NRow::Nem3T2NRow(int width, int array_rows, const Calibration& cal)
@@ -161,8 +159,6 @@ WriteMetrics Nem3T2NRow::simulate_write(const TernaryWord& old_word,
   const double t0 = 0.1e-9;
   if (!write_tpl_) {
     auto tpl = std::make_unique<NemWriteTemplate>();
-    tpl->t0 = t0;
-    tpl->t_end = t0 + c.t_write_window_nem;
     Circuit& ckt = tpl->ckt;
     // Boosted wordline crossing the whole row.
     const double c_wl = width() * c.c_hline_per_cell(c.geo_nem);
@@ -204,8 +200,8 @@ WriteMetrics Nem3T2NRow::simulate_write(const TernaryWord& old_word,
     bind_nem_cell(ckt, write_tpl_->cells[static_cast<std::size_t>(i)],
                   old_word[static_cast<std::size_t>(i)], c.v_store_one);
 
-  const auto result =
-      run_transient(ckt, spice::step_defaults(write_tpl_->t_end, 20e-12));
+  const auto result = run_transient(
+      ckt, spice::step_defaults(t0 + c.t_write_window_nem, 20e-12));
   WriteMetrics m = write_metrics(result);
   if (!result.finished) return m;
 
