@@ -1,6 +1,7 @@
-// Transaction goldens: one 64-wide search per row kind and key class, and
-// one 64-wide 3T2N write, pinned to the step, rejection and Newton counts
-// and the delay/energy the simulator produced when they were recorded. The
+// Transaction goldens: one 64-wide search per row kind and key class, one
+// 64-wide write per row kind, and one 8×8 3T2N array search on each array
+// solver, pinned to the step, rejection and Newton counts and the
+// delay/energy the simulator produced when they were recorded. The
 // counts must match exactly and the delay/energy to 1e-12 relative, so a
 // change meant to be bit-exact (the EKV memo, the source sample cache)
 // cannot move the simulated trajectory without failing here.
@@ -20,6 +21,8 @@
 #include <cstdio>
 #include <string>
 
+#include "tcam/ArrayTemplate.h"
+#include "tcam/RowSpecs.h"
 #include "tcam/Rram2T2RRow.h"
 #include "tcam/TcamRow.h"
 
@@ -164,6 +167,127 @@ TEST(WriteGolden, SixtyFourWideNemWriteReproducesRecordedRun) {
   EXPECT_TRUE(close_rel(m.latency, 2.0312757546707733e-09)) << "actual " << actual;
   EXPECT_TRUE(close_rel(m.energy, 2.5539231362716223e-13)) << "actual " << actual;
   EXPECT_EQ(row->stored(), TernaryWord(std::string{kWritten}));
+}
+
+struct KindWrite {
+  TcamKind kind;
+  std::size_t steps;
+  std::size_t rejected;
+  std::size_t newton;
+  double latency;  // s
+  double energy;   // J
+};
+
+// The other six kinds' writes of kWritten over kStored.
+// clang-format off
+constexpr KindWrite kKindWriteGolden[] = {
+    {TcamKind::Sram16T, 117, 7, 250, 2.0271852300366137e-10, 7.6663518291181837e-13},
+    {TcamKind::Rram2T2R, 688, 41, 1270, 1.0575363073701677e-08, 4.4961657688837905e-11},
+    {TcamKind::Fefet2F, 257, 5, 313, 9.5235153440279164e-09, 3.6330534216166779e-12},
+    {TcamKind::Dtcam5T, 94, 6, 204, 7.9306559997186862e-11, 2.3301849451826665e-13},
+    {TcamKind::Fefet4T2F, 288, 10, 461, 9.5887086134232558e-09, 6.9076748646774376e-12},
+    {TcamKind::Mram4T2M, 417, 28, 851, 9.3143951948934618e-09, 1.7808502804241428e-10},
+};
+// clang-format on
+
+class KindWriteGolden : public ::testing::TestWithParam<TcamKind> {};
+
+TEST_P(KindWriteGolden, SixtyFourWideWriteReproducesRecordedRun) {
+  auto row = make_row(GetParam(), kWidth, kRows);
+  row->store(TernaryWord(std::string{kStored}));
+  const WriteMetrics m = row->write(TernaryWord(std::string{kWritten}));
+  char actual[256];
+  std::snprintf(actual, sizeof actual, "{TcamKind::%s, %zu, %zu, %zu, %.17g, %.17g},",
+                enumerator(GetParam()), m.steps, m.steps_rejected,
+                m.newton_iters, m.latency, m.energy);
+  ASSERT_TRUE(m.ok) << m.note;
+  const KindWrite* g = nullptr;
+  for (const KindWrite& w : kKindWriteGolden)
+    if (w.kind == GetParam()) g = &w;
+  ASSERT_NE(g, nullptr) << "no golden; actual " << actual;
+  EXPECT_EQ(m.steps, g->steps) << "actual " << actual;
+  EXPECT_EQ(m.steps_rejected, g->rejected) << "actual " << actual;
+  EXPECT_EQ(m.newton_iters, g->newton) << "actual " << actual;
+  EXPECT_TRUE(close_rel(m.latency, g->latency)) << "actual " << actual;
+  EXPECT_TRUE(close_rel(m.energy, g->energy)) << "actual " << actual;
+  EXPECT_EQ(row->stored(), TernaryWord(std::string{kWritten}));
+}
+
+INSTANTIATE_TEST_SUITE_P(OtherKinds, KindWriteGolden,
+                         ::testing::Values(TcamKind::Sram16T, TcamKind::Rram2T2R,
+                                           TcamKind::Fefet2F, TcamKind::Dtcam5T,
+                                           TcamKind::Fefet4T2F, TcamKind::Mram4T2M),
+                         [](const auto& param_info) {
+                           return std::string{enumerator(param_info.param)};
+                         });
+
+// 8×8 3T2N array: row r stores the first 8 trits of kStored rotated by
+// 3·r, and the key is row 0's word with X resolved, so some rows match.
+constexpr int kArrayDim = 8;
+
+TernaryWord array_row_word(int r) {
+  std::string w;
+  for (int c = 0; c < kArrayDim; ++c)
+    w += kStored[static_cast<std::size_t>((3 * r + c) % kWidth)];
+  return TernaryWord(w);
+}
+
+struct ArrayGoldenRun {
+  bool use_bbd;
+  unsigned matched_mask;  // bit r set: row r matched
+  std::size_t steps;
+  std::size_t rejected;
+  std::size_t newton;
+  double energy;              // J
+  double latency[kArrayDim];  // s, per row
+};
+
+// clang-format off
+constexpr ArrayGoldenRun kArrayGolden[] = {
+    {true, 0x01, 212, 24, 470, 9.6089291842313696e-14, {0, 3.1731610238619882e-11, 3.5876557496996303e-11, 3.2501283347876482e-11, 3.6261528360053564e-11, 3.830399310246202e-11, 3.0573625409234938e-11, 3.6398209802239196e-11}},
+    {false, 0x01, 216, 23, 476, 9.6091570742830056e-14, {0, 3.1732668484292191e-11, 3.5876918591281033e-11, 3.2502507659542145e-11, 3.6262242291571422e-11, 3.830452996088757e-11, 3.0574513479256341e-11, 3.6399068383207966e-11}},
+};
+// clang-format on
+
+TEST(ArrayGolden, EightByEightNemSearchReproducesRecordedRunOnBothSolvers) {
+  TernaryWord key = array_row_word(0);
+  for (std::size_t i = 0; i < key.size(); ++i)
+    if (key[i] == Ternary::X) key[i] = (i % 2 == 0) ? Ternary::One : Ternary::Zero;
+  for (const ArrayGoldenRun& g : kArrayGolden) {
+    SCOPED_TRACE(g.use_bbd ? "bbd" : "monolithic");
+    ArrayOptions opt;
+    opt.use_bbd = g.use_bbd;
+    ArrayTemplate arr(nem3t2n_search_spec(Calibration::standard()), kArrayDim,
+                      kArrayDim, opt);
+    for (int r = 0; r < kArrayDim; ++r) arr.store(r, array_row_word(r));
+    const ArraySearchMetrics m = arr.search(key);
+    ASSERT_TRUE(m.ok) << m.note;
+    ASSERT_EQ(m.rows.size(), static_cast<std::size_t>(kArrayDim));
+    EXPECT_EQ(m.used_bbd, g.use_bbd);
+    unsigned mask = 0;
+    std::string actual = "{" + std::string{g.use_bbd ? "true" : "false"};
+    for (int r = 0; r < kArrayDim; ++r)
+      if (m.rows[static_cast<std::size_t>(r)].matched) mask |= 1u << r;
+    char buf[192];
+    std::snprintf(buf, sizeof buf, ", 0x%02x, %zu, %zu, %zu, %.17g, {", mask,
+                  m.steps, m.steps_rejected, m.newton_iters, m.energy);
+    actual += buf;
+    for (int r = 0; r < kArrayDim; ++r) {
+      std::snprintf(buf, sizeof buf, "%s%.17g", r ? ", " : "",
+                    m.rows[static_cast<std::size_t>(r)].latency);
+      actual += buf;
+    }
+    actual += "}},";
+    EXPECT_EQ(mask, g.matched_mask) << "actual " << actual;
+    EXPECT_EQ(m.steps, g.steps) << "actual " << actual;
+    EXPECT_EQ(m.steps_rejected, g.rejected) << "actual " << actual;
+    EXPECT_EQ(m.newton_iters, g.newton) << "actual " << actual;
+    EXPECT_TRUE(close_rel(m.energy, g.energy)) << "actual " << actual;
+    for (int r = 0; r < kArrayDim; ++r)
+      EXPECT_TRUE(close_rel(m.rows[static_cast<std::size_t>(r)].latency,
+                            g.latency[r]))
+          << "row " << r << ", actual " << actual;
+  }
 }
 
 struct VariationGolden {
