@@ -20,6 +20,7 @@ class Vcvs final : public Device {
 
   int branch_count() const override { return 1; }
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override { return 0; }
   spice::DeviceTopology topology() const override;
 
  private:
@@ -33,6 +34,7 @@ class Vccs final : public Device {
   Vccs(std::string name, NodeId p, NodeId m, NodeId cp, NodeId cm, double gm);
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override { return 0; }
   spice::DeviceTopology topology() const override;
 
  private:
@@ -48,6 +50,7 @@ class Cccs final : public Device {
        double gain);
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override { return 0; }
   spice::DeviceTopology topology() const override;
 
  private:
@@ -64,6 +67,7 @@ class Ccvs final : public Device {
 
   int branch_count() const override { return 1; }
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override { return 0; }
   spice::DeviceTopology topology() const override;
 
  private:

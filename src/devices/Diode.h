@@ -25,6 +25,7 @@ class Diode final : public Device {
   Diode(std::string name, NodeId anode, NodeId cathode, DiodeParams params = {});
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override { return spice::kHookPower; }
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double power(const StampContext& ctx) const override;

@@ -6,9 +6,10 @@
 namespace nemtcam::devices {
 
 Fefet::Fefet(std::string name, NodeId d, NodeId g, NodeId s, FefetParams params)
-    : Device(std::move(name)), d_(d), g_(g), s_(s), params_(params),
-      cgfe_c_(params.c_fe + params.fet.cgs), cgd_c_(params.fet.cgd),
-      cdb_c_(params.fet.cdb), csb_c_(params.fet.csb) {
+    : Device(std::move(name)), params_(params),
+      core_(d, g, s,
+            {params.c_fe + params.fet.cgs, params.fet.cgd, params.fet.cdb,
+             params.fet.csb}) {
   NEMTCAM_EXPECT(params_.vth_low < params_.vth_high);
   NEMTCAM_EXPECT(params_.v_coercive < params_.v_write);
   NEMTCAM_EXPECT(params_.t_write > 0.0);
@@ -21,25 +22,11 @@ double Fefet::vth_eff() const noexcept {
 }
 
 void Fefet::stamp(Stamper& s, const StampContext& ctx) {
-  const double vg = ctx.v(g_);
-  const double vd = ctx.v(d_);
-  const double vs = ctx.v(s_);
-  const MosEval e = ekv_eval(params_.fet, vth_eff(), vg, vd, vs);
-
-  s.vccs(d_, s_, g_, spice::kGround, e.g_vg);
-  s.vccs(d_, s_, d_, spice::kGround, e.g_vd);
-  s.vccs(d_, s_, s_, spice::kGround, e.g_vs);
-  s.current(d_, s_, e.ids - (e.g_vg * vg + e.g_vd * vd + e.g_vs * vs));
-
-  // Ferroelectric gate stack plus the FET's own parasitics.
-  cgfe_c_.stamp(s, ctx, g_, s_);
-  cgd_c_.stamp(s, ctx, g_, d_);
-  cdb_c_.stamp(s, ctx, d_, spice::kGround);
-  csb_c_.stamp(s, ctx, s_, spice::kGround);
+  core_.stamp(s, ctx, params_.fet, vth_eff());
 }
 
 void Fefet::commit(const StampContext& ctx) {
-  const double vgs = ctx.v(g_) - ctx.v(s_);
+  const double vgs = ctx.v(core_.g()) - ctx.v(core_.s());
   const double dt = ctx.dt();
   const double vc = params_.v_coercive;
   const double p_before = p_;
@@ -55,10 +42,7 @@ void Fefet::commit(const StampContext& ctx) {
   if (p_before < 0.9 && p_ >= 0.9) t_program_ = ctx.t();
   if (p_before > -0.9 && p_ <= -0.9) t_erase_ = ctx.t();
 
-  cgfe_c_.commit(ctx, g_, s_);
-  cgd_c_.commit(ctx, g_, d_);
-  cdb_c_.commit(ctx, d_, spice::kGround);
-  csb_c_.commit(ctx, s_, spice::kGround);
+  core_.commit(ctx);
 }
 
 double Fefet::max_dt_hint() const {
@@ -74,8 +58,8 @@ double Fefet::event_function(const StampContext& ctx) const {
   // Armed surface is chosen from the step-start voltage and committed
   // state, so both ends of a step evaluate the same surface.
   const double vc = params_.v_coercive;
-  const double vgs_prev = ctx.v_prev(g_) - ctx.v_prev(s_);
-  const double vgs = ctx.v(g_) - ctx.v(s_);
+  const double vgs_prev = ctx.v_prev(core_.g()) - ctx.v_prev(core_.s());
+  const double vgs = ctx.v(core_.g()) - ctx.v(core_.s());
   if (vgs_prev > vc && p_ < 1.0) {
     // Erase in progress: the event is polarization saturating at +1,
     // projected with this step's end-point rate.
@@ -92,8 +76,9 @@ double Fefet::event_function(const StampContext& ctx) const {
 
 double Fefet::power(const StampContext& ctx) const {
   const MosEval e =
-      ekv_eval(params_.fet, vth_eff(), ctx.v(g_), ctx.v(d_), ctx.v(s_));
-  return e.ids * (ctx.v(d_) - ctx.v(s_));
+      ekv_eval(params_.fet, vth_eff(), ctx.v(core_.g()), ctx.v(core_.d()),
+               ctx.v(core_.s()));
+  return e.ids * (ctx.v(core_.d()) - ctx.v(core_.s()));
 }
 
 void Fefet::set_polarization(double p) {
@@ -108,7 +93,9 @@ void Fefet::set_memory_window(double vth_low, double vth_high) {
 
 
 spice::DeviceTopology Fefet::topology() const {
-  spice::DeviceTopology t{{{"d", d_}, {"g", g_}, {"s", s_}},
+  spice::DeviceTopology t{{{"d", core_.d()},
+                           {"g", core_.g()},
+                           {"s", core_.s()}},
                           {{0, 2, spice::DcCoupling::Conductive},
                            {1, 0, spice::DcCoupling::Capacitive},
                            {1, 2, spice::DcCoupling::Capacitive}}};

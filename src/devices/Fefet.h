@@ -12,7 +12,6 @@
 #pragma once
 
 #include "devices/Mosfet.h"
-#include "devices/Passive.h"
 
 namespace nemtcam::devices {
 
@@ -34,6 +33,10 @@ class Fefet final : public Device {
   Fefet(std::string name, NodeId d, NodeId g, NodeId s, FefetParams params = {});
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override {
+    return spice::kHookMaxDtHint | spice::kHookEventFunction |
+           spice::kHookPower;
+  }
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double max_dt_hint() const override;
@@ -59,10 +62,7 @@ class Fefet final : public Device {
   bool is_low_vth() const noexcept { return p_ > 0.0; }
 
   void reset_state() override {
-    cgfe_c_.reset();
-    cgd_c_.reset();
-    cdb_c_.reset();
-    csb_c_.reset();
+    core_.reset();
     moving_ = false;
     t_program_ = -1.0;
     t_erase_ = -1.0;
@@ -71,9 +71,10 @@ class Fefet final : public Device {
   const FefetParams& params() const noexcept { return params_; }
 
  private:
-  NodeId d_, g_, s_;
   FefetParams params_;
-  CapCompanion cgfe_c_, cgd_c_, cdb_c_, csb_c_;
+  // Channel plus the ferroelectric gate stack (c_fe + cgs, g–s) and the
+  // FET's own parasitics.
+  TransistorStamp core_;
   double p_ = -1.0;    // polarization state
   bool moving_ = false;  // last committed step had polarization in motion
   double t_program_ = -1.0;

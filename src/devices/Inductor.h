@@ -18,6 +18,7 @@ class Inductor final : public Device {
 
   int branch_count() const override { return 1; }
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override { return 0; }
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
 

@@ -197,41 +197,89 @@ double ekv_off_leak(const MosfetParams& p, double vth_eff) {
   return std::abs(e.ids) / kSummaryRail;
 }
 
+void TransistorStamp::update_companions(const StampContext& ctx) {
+  const bool trap = ctx.integrator() == spice::Integrator::Trapezoidal;
+  if (ctx.dt() == g_dt_ && trap == g_trap_) return;
+  for (std::size_t k = 0; k < c_.size(); ++k)
+    g_c_[k] = (trap ? 2.0 : 1.0) * c_[k] / ctx.dt();
+  g_dt_ = ctx.dt();
+  g_trap_ = trap;
+}
+
+namespace {
+
+// Capacitor k spans terminals (kCapA[k], kCapB[k]) of {d, g, s, ground}.
+constexpr std::array<std::size_t, 4> kCapA = {1, 1, 0, 2};
+constexpr std::array<std::size_t, 4> kCapB = {2, 0, 3, 3};
+
+}  // namespace
+
+void TransistorStamp::stamp(Stamper& st, const StampContext& ctx,
+                            const MosfetParams& p, double vth_eff) {
+  const double vg = ctx.v(g_);
+  const double vd = ctx.v(d_);
+  const double vs = ctx.v(s_);
+  const MosEval e = ekv_eval(p, vth_eff, vg, vd, vs);
+  // Equivalent current so that J·v − f is stamped consistently.
+  const double i_eq = e.ids - (e.g_vg * vg + e.g_vd * vd + e.g_vs * vs);
+  const auto channel = [&](auto& out) {
+    // Jacobian of the D→S current w.r.t. the three terminal voltages.
+    out.vccs(d_, s_, g_, spice::kGround, e.g_vg);
+    out.vccs(d_, s_, d_, spice::kGround, e.g_vd);
+    out.vccs(d_, s_, s_, spice::kGround, e.g_vs);
+    out.current(d_, s_, i_eq);
+  };
+  if (ctx.dc()) {  // capacitors open
+    channel(st);
+    return;
+  }
+
+  update_companions(ctx);
+  const bool trap = g_trap_;
+  const std::array<NodeId, 4> node = {d_, g_, s_, spice::kGround};
+  const std::array<double, 4> v = {vd, vg, vs, 0.0};
+  const std::array<double, 4> vp = {ctx.v_prev(d_), ctx.v_prev(g_),
+                                    ctx.v_prev(s_), 0.0};
+  st.bound(binding_, [&](auto& out) {
+    channel(out);
+    for (std::size_t k = 0; k < c_.size(); ++k) {
+      if (c_[k] == 0.0) continue;
+      const double g = g_c_[k];
+      const double v_ab = v[kCapA[k]] - v[kCapB[k]];
+      const double dv = v_ab - (vp[kCapA[k]] - vp[kCapB[k]]);
+      const double i = trap ? g * dv - i_prev_[k] : g * dv;
+      out.nonlinear_current(node[kCapA[k]], node[kCapB[k]], i, g, v_ab);
+    }
+  });
+}
+
+void TransistorStamp::commit(const StampContext& ctx) {
+  if (ctx.dc()) return;
+  update_companions(ctx);
+  const std::array<double, 4> v = {ctx.v(d_), ctx.v(g_), ctx.v(s_), 0.0};
+  const std::array<double, 4> vp = {ctx.v_prev(d_), ctx.v_prev(g_),
+                                    ctx.v_prev(s_), 0.0};
+  for (std::size_t k = 0; k < c_.size(); ++k) {
+    if (c_[k] == 0.0) continue;
+    const double dv =
+        (v[kCapA[k]] - v[kCapB[k]]) - (vp[kCapA[k]] - vp[kCapB[k]]);
+    i_prev_[k] = g_trap_ ? g_c_[k] * dv - i_prev_[k] : g_c_[k] * dv;
+  }
+}
+
 Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s,
                MosfetParams params)
-    : Device(std::move(name)), d_(d), g_(g), s_(s), params_(params),
-      cgs_c_(params.cgs), cgd_c_(params.cgd), cdb_c_(params.cdb),
-      csb_c_(params.csb) {
+    : Device(std::move(name)), params_(params),
+      core_(d, g, s, {params.cgs, params.cgd, params.cdb, params.csb}) {
   NEMTCAM_EXPECT(params_.kp > 0.0);
   NEMTCAM_EXPECT(params_.n_slope >= 1.0);
 }
 
 void Mosfet::stamp(Stamper& s, const StampContext& ctx) {
-  const double vg = ctx.v(g_);
-  const double vd = ctx.v(d_);
-  const double vs = ctx.v(s_);
-  const MosEval e = ekv_eval(params_, params_.vth, vg, vd, vs);
-
-  // Jacobian of the D→S current w.r.t. the three terminal voltages.
-  s.vccs(d_, s_, g_, spice::kGround, e.g_vg);
-  s.vccs(d_, s_, d_, spice::kGround, e.g_vd);
-  s.vccs(d_, s_, s_, spice::kGround, e.g_vs);
-  // Equivalent current so that J·v − f is stamped consistently.
-  const double i_lin = e.g_vg * vg + e.g_vd * vd + e.g_vs * vs;
-  s.current(d_, s_, e.ids - i_lin);
-
-  cgs_c_.stamp(s, ctx, g_, s_);
-  cgd_c_.stamp(s, ctx, g_, d_);
-  cdb_c_.stamp(s, ctx, d_, spice::kGround);
-  csb_c_.stamp(s, ctx, s_, spice::kGround);
+  core_.stamp(s, ctx, params_, params_.vth);
 }
 
-void Mosfet::commit(const StampContext& ctx) {
-  cgs_c_.commit(ctx, g_, s_);
-  cgd_c_.commit(ctx, g_, d_);
-  cdb_c_.commit(ctx, d_, spice::kGround);
-  csb_c_.commit(ctx, s_, spice::kGround);
-}
+void Mosfet::commit(const StampContext& ctx) { core_.commit(ctx); }
 
 double Mosfet::event_function(const StampContext& ctx) const {
   if (!params_.event_on_vth || ctx.dc())
@@ -239,23 +287,26 @@ double Mosfet::event_function(const StampContext& ctx) const {
   // Signed distance to the conduction edge: positive while the channel is
   // on, so the engine lands a step where the gate drive falls through V_th.
   const double sign = params_.type == MosType::Nmos ? 1.0 : -1.0;
-  return sign * (ctx.v(g_) - ctx.v(s_)) - params_.vth;
+  return sign * (ctx.v(core_.g()) - ctx.v(core_.s())) - params_.vth;
 }
 
 double Mosfet::power(const StampContext& ctx) const {
-  const MosEval e = ekv_eval(params_, params_.vth, ctx.v(g_), ctx.v(d_), ctx.v(s_));
-  return e.ids * (ctx.v(d_) - ctx.v(s_));
+  return ids(ctx) * (ctx.v(core_.d()) - ctx.v(core_.s()));
 }
 
 double Mosfet::ids(const StampContext& ctx) const {
-  return ekv_eval(params_, params_.vth, ctx.v(g_), ctx.v(d_), ctx.v(s_)).ids;
+  return ekv_eval(params_, params_.vth, ctx.v(core_.g()), ctx.v(core_.d()),
+                  ctx.v(core_.s()))
+      .ids;
 }
 
 
 spice::DeviceTopology Mosfet::topology() const {
   // The channel conducts (at least subthreshold) at DC; the gate draws no
   // DC current — a node driving only gates has no DC path through them.
-  spice::DeviceTopology t{{{"d", d_}, {"g", g_}, {"s", s_}},
+  spice::DeviceTopology t{{{"d", core_.d()},
+                           {"g", core_.g()},
+                           {"s", core_.s()}},
                           {{0, 2, spice::DcCoupling::Conductive},
                            {1, 0, spice::DcCoupling::Capacitive},
                            {1, 2, spice::DcCoupling::Capacitive}}};

@@ -10,6 +10,7 @@
 // TCAM's retention time, so it matters here.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -97,11 +98,52 @@ inline constexpr double kThermalVoltage = 0.02585;
 double ekv_switch_resistance(const MosfetParams& p, double vth_eff);
 double ekv_off_leak(const MosfetParams& p, double vth_eff);
 
+// The stamp both transistor families share: the EKV channel between d and
+// s, linearized at the iterate (three VCCS and an equivalent current), plus
+// four companion capacitors g–s, g–d, d–ground and s–ground with the same
+// Backward-Euler/trapezoidal scheme as CapCompanion. The companion
+// conductances k·C/dt are computed once per (dt, integrator) and shared by
+// stamp and commit. A transient pass stamps through the device's binding
+// to its recorded matrix slots (Stamper::bound); a DC pass, where the
+// capacitors are open and the shape differs, stamps key-checked.
+class TransistorStamp {
+ public:
+  // Capacitances in the order g–s, g–d, d–ground, s–ground (F).
+  TransistorStamp(NodeId d, NodeId g, NodeId s, std::array<double, 4> caps)
+      : d_(d), g_(g), s_(s), c_(caps) {}
+
+  void stamp(Stamper& st, const StampContext& ctx, const MosfetParams& p,
+             double vth_eff);
+  void commit(const StampContext& ctx);
+  // Drops the companion current history.
+  void reset() { i_prev_ = {}; }
+
+  NodeId d() const noexcept { return d_; }
+  NodeId g() const noexcept { return g_; }
+  NodeId s() const noexcept { return s_; }
+
+ private:
+  // Refreshes g_c_ when (dt, integrator) changed since the last call.
+  void update_companions(const StampContext& ctx);
+
+  NodeId d_, g_, s_;
+  bool g_trap_ = false;  // integrator g_c_ was computed for
+  std::array<double, 4> c_;           // companion capacitances (F)
+  std::array<double, 4> i_prev_{};    // trapezoidal current history (A)
+  std::array<double, 4> g_c_{};       // k·C/dt (S)
+  double g_dt_ = 0.0;                 // dt g_c_ was computed for (0 = none)
+  spice::StampBinding binding_;
+};
+
 class Mosfet final : public Device {
  public:
   Mosfet(std::string name, NodeId d, NodeId g, NodeId s, MosfetParams params);
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override {
+    return spice::kHookPower |
+           (params_.event_on_vth ? spice::kHookEventFunction : 0u);
+  }
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double event_function(const StampContext& ctx) const override;
@@ -134,18 +176,12 @@ class Mosfet final : public Device {
   static constexpr double kVthMin = 0.01;  // V: effectively always-on
   static constexpr double kVthMax = 1.5;   // V: off at any on-chip gate drive
 
-  void reset_state() override {
-    cgs_c_.reset();
-    cgd_c_.reset();
-    cdb_c_.reset();
-    csb_c_.reset();
-  }
+  void reset_state() override { core_.reset(); }
 
  private:
-  NodeId d_, g_, s_;
   MosfetParams params_;
   const double vth_nominal_ = params_.vth;  // pre-aging |V_th| for outliers
-  CapCompanion cgs_c_, cgd_c_, cdb_c_, csb_c_;
+  TransistorStamp core_;
   // topology() summary cache: ekv_switch_resistance / ekv_off_leak are
   // pure in (params, |V_th|) but cost transcendental evaluations, and the
   // STA engine re-summarizes every device per analysis. |V_th| is the only

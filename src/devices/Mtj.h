@@ -34,6 +34,9 @@ class Mtj final : public Device {
   Mtj(std::string name, NodeId top, NodeId bottom, MtjParams params = {});
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override {
+    return spice::kHookMaxDtHint | spice::kHookPower;
+  }
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double max_dt_hint() const override;

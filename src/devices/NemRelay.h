@@ -55,6 +55,10 @@ class NemRelay final : public Device {
            NemRelayParams params = {});
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override {
+    return spice::kHookMaxDtHint | spice::kHookEventFunction |
+           spice::kHookPower;
+  }
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double max_dt_hint() const override;

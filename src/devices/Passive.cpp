@@ -27,20 +27,25 @@ Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double farads)
   NEMTCAM_EXPECT(farads_ >= 0.0);
 }
 
-double Capacitor::current_at(const StampContext& ctx) const {
+double Capacitor::current_at(const StampContext& ctx) {
+  const bool trap = ctx.integrator() == spice::Integrator::Trapezoidal;
+  if (ctx.dt() != g_dt_ || trap != g_trap_) {
+    g_ = (trap ? 2.0 : 1.0) * farads_ / ctx.dt();
+    g_dt_ = ctx.dt();
+    g_trap_ = trap;
+  }
   const double v_ab = ctx.v(a_) - ctx.v(b_);
   const double v_ab_prev = ctx.v_prev(a_) - ctx.v_prev(b_);
-  if (ctx.integrator() == spice::Integrator::Trapezoidal)
-    return 2.0 * farads_ / ctx.dt() * (v_ab - v_ab_prev) - i_prev_;
-  return farads_ / ctx.dt() * (v_ab - v_ab_prev);
+  return trap ? g_ * (v_ab - v_ab_prev) - i_prev_ : g_ * (v_ab - v_ab_prev);
 }
 
 void Capacitor::stamp(Stamper& s, const StampContext& ctx) {
   if (ctx.dc() || farads_ == 0.0) return;
-  const bool trap = ctx.integrator() == spice::Integrator::Trapezoidal;
-  const double g = (trap ? 2.0 : 1.0) * farads_ / ctx.dt();
+  const double i = current_at(ctx);
   const double v_ab = ctx.v(a_) - ctx.v(b_);
-  s.nonlinear_current(a_, b_, current_at(ctx), g, v_ab);
+  s.bound(binding_, [&](auto& out) {
+    out.nonlinear_current(a_, b_, i, g_, v_ab);
+  });
 }
 
 void Capacitor::commit(const StampContext& ctx) {

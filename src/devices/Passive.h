@@ -16,6 +16,7 @@ class Resistor final : public Device {
   Resistor(std::string name, NodeId a, NodeId b, double ohms);
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override { return spice::kHookPower; }
   spice::DeviceTopology topology() const override;
   double power(const StampContext& ctx) const override;
 
@@ -30,12 +31,15 @@ class Resistor final : public Device {
 // Linear capacitor. Backward Euler uses the previous accepted voltage
 // directly (i = C·(v − v_prev)/dt); trapezoidal additionally carries the
 // previous step's current (i = 2C·(v − v_prev)/dt − i_prev) for
-// second-order accuracy. Open in DC analysis.
+// second-order accuracy. Open in DC analysis. The companion conductance
+// k·C/dt is computed once per (dt, integrator), and transient passes stamp
+// through the device's binding to its recorded matrix slots.
 class Capacitor final : public Device {
  public:
   Capacitor(std::string name, NodeId a, NodeId b, double farads);
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override { return 0; }
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
 
@@ -46,15 +50,20 @@ class Capacitor final : public Device {
   void reset_state() override { i_prev_ = 0.0; }
 
  private:
-  double current_at(const StampContext& ctx) const;
+  // Companion current at the iterate; refreshes g_ for ctx's step first.
+  double current_at(const StampContext& ctx);
 
   NodeId a_, b_;
+  bool g_trap_ = false;  // integrator g_ was computed for
   double farads_;
   double i_prev_ = 0.0;  // used by the trapezoidal companion
+  double g_ = 0.0;       // k·C/dt
+  double g_dt_ = 0.0;    // dt g_ was computed for (0 = none)
+  spice::StampBinding binding_;
 };
 
 // Embeddable companion for a fixed linear capacitance owned by a composite
-// device (MOSFET/FeFET/diode parasitics): same Backward-Euler/trapezoidal
+// device (the diode junction; transistors use TransistorStamp): same BE/trap
 // scheme as Capacitor, carrying the previous step's current so the
 // trapezoidal form stays second-order on internal nodes too. stamp() runs
 // at every Newton iterate; commit() exactly once per accepted step (the

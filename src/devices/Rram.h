@@ -40,6 +40,10 @@ class Rram final : public Device {
   Rram(std::string name, NodeId top, NodeId bottom, RramParams params = {});
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override {
+    return spice::kHookMaxDtHint | spice::kHookEventFunction |
+           spice::kHookPower;
+  }
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double max_dt_hint() const override;

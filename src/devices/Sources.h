@@ -58,6 +58,7 @@ class VSource final : public Device {
 
   int branch_count() const override { return 1; }
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override { return spice::kHookDeliveredPower; }
   spice::DeviceTopology topology() const override;
   double delivered_power(const StampContext& ctx) const override;
   std::vector<double> breakpoints(double t_end) const override;
@@ -90,6 +91,7 @@ class ISource final : public Device {
   ISource(std::string name, NodeId from, NodeId to, double dc_amps);
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override { return spice::kHookDeliveredPower; }
   spice::DeviceTopology topology() const override;
   double delivered_power(const StampContext& ctx) const override;
   std::vector<double> breakpoints(double t_end) const override;

@@ -17,6 +17,7 @@ class Switch final : public Device {
          double r_off = 1e12, bool closed = false);
 
   void stamp(Stamper& s, const StampContext& ctx) override;
+  unsigned hooks() const override { return spice::kHookPower; }
   spice::DeviceTopology topology() const override;
   double power(const StampContext& ctx) const override;
 

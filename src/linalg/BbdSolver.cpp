@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 
-#include "linalg/DenseLu.h"  // SingularMatrixError
+#include "linalg/SingularMatrixError.h"
 #include "util/Expect.h"
 #include "util/ThreadPool.h"
 

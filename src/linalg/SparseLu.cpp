@@ -5,7 +5,7 @@
 #include <cstring>
 #include <limits>
 
-#include "linalg/DenseLu.h"  // SingularMatrixError
+#include "linalg/SingularMatrixError.h"
 
 namespace nemtcam::linalg {
 
@@ -343,20 +343,22 @@ void SparseLu::solve_inplace(double* bx) const {
       y[op_target_[oi]] -= op_factor_[oi] * yp;
   }
 
-  // Backward: rows in reverse stage order form an upper-triangular system
-  // (a pivot row's surviving entries belong to its own column plus
-  // later-stage columns, whose unknowns are already solved; earlier-stage
-  // positions hold exact zeros).
-  x_scratch_.assign(n_, 0.0);
+  // Backward: rows in reverse stage order form an upper-triangular system.
+  // A pivot row's active entries (stage_src_, in column order) sit at
+  // later-stage columns, whose unknowns are already solved. Its other
+  // off-diagonal positions are earlier-stage columns: they hold exact +0
+  // and meet unknowns not yet solved, so each would subtract +0·+0 = +0,
+  // which leaves any accumulator (−0 included) bit-for-bit unchanged.
+  // Skipping them is exact; every x[k] is written before it is read.
+  x_scratch_.resize(n_);
   double* x = x_scratch_.data();
   for (std::size_t stage = n_; stage-- > 0;) {
     const std::size_t p = pivot_of_stage_[stage];
     const std::size_t k = col_of_stage_[stage];
     double acc = y[p];
-    for (std::size_t j = u_ptr_[p]; j < u_ptr_[p + 1]; ++j) {
-      const std::size_t c = u_cols_[j];
-      if (c != k) acc -= u_vals_[j] * x[c];
-    }
+    const std::size_t* src = stage_src_.data() + stage_src_begin_[stage];
+    const std::size_t* end = stage_src_.data() + stage_src_begin_[stage + 1];
+    for (; src != end; ++src) acc -= u_vals_[*src] * x[u_cols_[*src]];
     const double diag = u_vals_[diag_idx_[stage]];
     NEMTCAM_ENSURE_MSG(diag != 0.0, "SparseLu::solve: zero diagonal");
     x[k] = acc / diag;

@@ -44,7 +44,7 @@ struct CsrView {
 class SparseLu {
  public:
   SparseLu() = default;
-  // Factorizes; throws linalg::SingularMatrixError (see DenseLu.h) when a
+  // Factorizes; throws linalg::SingularMatrixError when a
   // pivot column has no usable entry.
   explicit SparseLu(SparseMatrix& a, double pivot_tol = 1e-30);
   explicit SparseLu(const CsrView& a, double pivot_tol = 1e-30);
@@ -83,8 +83,10 @@ class SparseLu {
   // back-substitution for stage s reads the pivot row's active entries
   // through stage_src[stage_src_begin[s]..stage_src_begin[s+1]) (indices
   // into u_cols/u_vals, all at later-stage columns) and divides by
-  // u_vals[diag_idx[s]]. Pointers stay valid until the next full
-  // factorize(); op_factor and u_vals refresh on every refactorize().
+  // u_vals[diag_idx[s]]; the pivot row's other off-diagonal positions
+  // (u_ptr[row]..u_ptr[row+1]) sit at earlier-stage columns and hold exact
+  // zeros. Pointers stay valid until the next full factorize(); op_factor
+  // and u_vals refresh on every refactorize().
   struct ScheduleView {
     std::size_t n = 0;
     const std::size_t* pivot_of_stage = nullptr;
@@ -97,6 +99,7 @@ class SparseLu {
     const std::size_t* stage_src = nullptr;        // u_cols/u_vals indices
     const std::size_t* u_cols = nullptr;
     const double* u_vals = nullptr;
+    const std::size_t* u_ptr = nullptr;  // n + 1: physical row extents
   };
   ScheduleView schedule() const noexcept {
     return {n_,
@@ -109,7 +112,8 @@ class SparseLu {
             stage_src_begin_.data(),
             stage_src_.data(),
             u_cols_.data(),
-            u_vals_.data()};
+            u_vals_.data(),
+            u_ptr_.data()};
   }
   // Bumped by every full factorize(): the pivot order (and with it any
   // schedule-derived plan) is only stable between full factorizations.

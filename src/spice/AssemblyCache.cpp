@@ -1,6 +1,7 @@
 #include "spice/AssemblyCache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "linalg/BbdSolver.h"
@@ -8,6 +9,17 @@
 #include "util/Log.h"
 
 namespace nemtcam::spice {
+
+namespace {
+
+// Binding tokens: unique across every cache and every pattern build in
+// the process, so no cache ever honours a binding made against another.
+std::uint64_t next_token() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
 
 AssemblyCache::AssemblyCache() = default;
 AssemblyCache::~AssemblyCache() = default;
@@ -19,6 +31,7 @@ void AssemblyCache::begin(std::size_t n) {
   if (has_pattern() && n == n_) {
     fast_ = true;
     building_ = false;
+    bound_pass_ = false;
     cursor_ = 0;
     std::fill(vals_.begin(), vals_.end(), 0.0);
     return;
@@ -35,7 +48,10 @@ void AssemblyCache::begin(std::size_t n) {
 bool AssemblyCache::finish() {
   if (fast_) {
     fast_ = false;
-    if (cursor_ == seq_key_.size()) return true;
+    if (cursor_ == seq_key_.size()) {
+      if (bound_pass_) ++stats_.bound_passes;
+      return true;
+    }
     invalidate();  // short pass: fewer stamps than recorded
     return false;
   }
@@ -75,6 +91,7 @@ bool AssemblyCache::finish() {
   for (std::size_t r = 0; r < n_; ++r) row_ptr_[r + 1] += row_ptr_[r];
   trip_val_.clear();
   trip_val_.shrink_to_fit();
+  token_ = next_token();
   return true;
 }
 
@@ -82,6 +99,7 @@ void AssemblyCache::invalidate() {
   fast_ = false;
   building_ = false;
   cursor_ = 0;
+  token_ = 0;
   seq_key_.clear();
   seq_slot_.clear();
   trip_val_.clear();

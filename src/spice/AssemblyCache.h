@@ -16,6 +16,20 @@
 // the pass is flagged, the pattern dropped, and the caller re-stamps in
 // build mode — correctness never depends on the pattern staying fixed.
 //
+// Bound stamping: a device whose stamp shape is fixed (a transistor or a
+// capacitor in a transient pass) may bind its contiguous range of the
+// recorded sequence. The first replay after a build stamps it through
+// add(), which checks every key; if they all matched, the device keeps a
+// StampBinding (pattern token, range start and length). Later replays of
+// the same pattern hand it the range's slot indices and it adds its
+// values straight into them, in the recorded order, so every slot and
+// right-hand-side entry is summed exactly as on the key-checked path.
+// The token comes from one process-wide counter, bumped by every pattern
+// build in every cache, so a binding is never honoured by another cache
+// or by a rebuilt pattern. A replay that reaches a bound range anywhere
+// but at its recorded start (an earlier device changed shape) is voided
+// and re-recorded like any other deviation.
+//
 // The cache also owns the SparseLu for the assembled system and keeps its
 // symbolic analysis alive across solves: factorize() first attempts the
 // cheap numeric refactorization and falls back to a full factorization
@@ -46,6 +60,14 @@ class ThreadPool;
 
 namespace nemtcam::spice {
 
+// A device's claim on its range of one recorded stamp pattern (see the
+// file comment). Default-constructed = unbound.
+struct StampBinding {
+  std::uint64_t token = 0;  // pattern the range was verified against
+  std::uint32_t start = 0;  // first sequence index of the range
+  std::uint32_t count = 0;  // matrix terms in the range
+};
+
 class AssemblyCache {
  public:
   struct Stats {
@@ -56,6 +78,10 @@ class AssemblyCache {
     std::uint64_t bbd_factorizations = 0;    // full BBD split + factor
     std::uint64_t bbd_refactorizations = 0;  // numeric-only BBD replays
     std::uint64_t bbd_fallbacks = 0;         // partition rejected → SparseLu
+    // Successful replay passes in which at least one device stamped
+    // through its binding. A binding that silently stopped being honoured
+    // shows here as bound_passes lagging assemblies.
+    std::uint64_t bound_passes = 0;
   };
 
   AssemblyCache();
@@ -80,6 +106,33 @@ class AssemblyCache {
       seq_key_.push_back(r * n_ + c);
       trip_val_.push_back(v);
     }
+  }
+
+  // Slot indices of `b`'s range when `b` was verified against this
+  // cache's current pattern and the replay cursor stands at the range's
+  // start; the cursor then moves past the range. nullptr otherwise — the
+  // caller stamps through add(), which checks every key.
+  const std::size_t* bound_slots(const StampBinding& b) {
+    if (!fast_ || b.token != token_) return nullptr;
+    if (cursor_ != b.start) {
+      fast_ = false;  // an earlier device changed shape; pass is void
+      return nullptr;
+    }
+    cursor_ += b.count;
+    bound_pass_ = true;
+    return seq_slot_.data() + b.start;
+  }
+  // The per-pass value array bound stamps add into.
+  double* values() noexcept { return vals_.data(); }
+  // Position in the recorded sequence (the next add() compares against it).
+  std::size_t cursor() const noexcept { return cursor_; }
+  // Binds `b` to the range [mark, cursor()) a device has just stamped
+  // through add(). Only a replay whose keys have all matched so far
+  // verifies a range; any other pass leaves `b` untouched.
+  void bind(StampBinding& b, std::size_t mark) const {
+    if (!fast_ || cursor_ > UINT32_MAX) return;
+    b = {token_, static_cast<std::uint32_t>(mark),
+         static_cast<std::uint32_t>(cursor_ - mark)};
   }
 
   // Ends the pass. Returns false when a fast pass deviated from the
@@ -127,7 +180,9 @@ class AssemblyCache {
   std::size_t n_ = 0;
   bool fast_ = false;      // replaying the recorded sequence
   bool building_ = false;  // recording a new sequence
+  bool bound_pass_ = false;  // this pass honoured a binding
   std::size_t cursor_ = 0;
+  std::uint64_t token_ = 0;  // current pattern's binding token; 0 = none
 
   // Recorded stamp sequence: flattened (r, c) key and CSR slot per call.
   std::vector<std::size_t> seq_key_;

@@ -177,6 +177,16 @@ struct DeviceTopology {
   double source_r_series = 0.0; // driver series resistance (Ω)
 };
 
+// Per-accepted-step hooks a device may implement (Device::hooks()).
+enum DeviceHook : unsigned {
+  kHookEventFunction = 1u << 0,
+  kHookMaxDtHint = 1u << 1,
+  kHookPower = 1u << 2,
+  kHookDeliveredPower = 1u << 3,
+  kAllHooks = kHookEventFunction | kHookMaxDtHint | kHookPower |
+              kHookDeliveredPower,
+};
+
 class Device {
  public:
   explicit Device(std::string name) : name_(std::move(name)) {}
@@ -195,6 +205,16 @@ class Device {
   // overrides it, and the ERC connectivity rules see only what is
   // reported here.
   virtual DeviceTopology topology() const { return {}; }
+
+  // Which of event_function, max_dt_hint, power and delivered_power this
+  // device implements, as a DeviceHook mask. The transient engine builds
+  // one device list per hook at the start of a run and calls a hook only
+  // on the devices that declare it, so a device declaring a hook it does
+  // not override costs a call, and one omitting a hook it does override
+  // loses it. The default declares every hook: a device that says nothing
+  // is never skipped. Read once per run, so the mask may depend on
+  // construction-time parameters but not on state that changes mid-run.
+  virtual unsigned hooks() const { return kAllHooks; }
 
   // Stamps the Newton linearization at the context's iterate.
   virtual void stamp(Stamper& s, const StampContext& ctx) = 0;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "linalg/DenseLu.h"  // SingularMatrixError
+#include "linalg/SingularMatrixError.h"
 #include "linalg/StructuralRank.h"
 #include "spice/AssemblyCache.h"
 #include "spice/Recovery.h"

@@ -23,13 +23,13 @@
 
 namespace nemtcam::spice {
 
-class Stamper {
+// Element stamps shared by the two stamping back ends. `Sink` supplies
+// madd(r, c, v); unknown indexing, ground elision, term order and the
+// right-hand side are common, so a bound pass issues exactly the
+// contributions of a key-checked pass, in the same order.
+template <class Sink>
+class StampOps {
  public:
-  // Matrix contributions go to `cache` (fixed-pattern assembly, see
-  // AssemblyCache); right-hand-side contributions to `rhs`.
-  Stamper(AssemblyCache& cache, std::vector<double>& rhs, int n_node_unknowns)
-      : cache_(cache), rhs_(rhs), n_node_unknowns_(n_node_unknowns) {}
-
   void conductance(NodeId a, NodeId b, double g) {
     const int ia = idx(a);
     const int ib = idx(b);
@@ -122,15 +122,74 @@ class Stamper {
 
   int node_unknowns() const noexcept { return n_node_unknowns_; }
 
+ protected:
+  StampOps(std::vector<double>& rhs, int n_node_unknowns)
+      : rhs_(rhs), n_node_unknowns_(n_node_unknowns) {}
+
+  std::vector<double>& rhs_;
+
  private:
   static int idx(NodeId n) { return n - 1; }  // -1 for ground
   static std::size_t u(int i) { return static_cast<std::size_t>(i); }
 
+  void madd(std::size_t r, std::size_t c, double v) {
+    static_cast<Sink&>(*this).madd(r, c, v);
+  }
+
+  int n_node_unknowns_;
+};
+
+// Adds a bound device's matrix terms straight into its recorded slots,
+// one after another; the keys were verified when the range was bound.
+class BoundStamper : public StampOps<BoundStamper> {
+ public:
+  BoundStamper(double* vals, const std::size_t* slots, std::vector<double>& rhs,
+               int n_node_unknowns)
+      : StampOps(rhs, n_node_unknowns), vals_(vals), slot_(slots) {}
+
+  // One past the last slot written so far.
+  const std::size_t* next_slot() const noexcept { return slot_; }
+
+ private:
+  friend class StampOps<BoundStamper>;
+  void madd(std::size_t, std::size_t, double v) { vals_[*slot_++] += v; }
+
+  double* vals_;
+  const std::size_t* slot_;
+};
+
+class Stamper : public StampOps<Stamper> {
+ public:
+  // Matrix contributions go to `cache` (fixed-pattern assembly, see
+  // AssemblyCache); right-hand-side contributions to `rhs`.
+  Stamper(AssemblyCache& cache, std::vector<double>& rhs, int n_node_unknowns)
+      : StampOps(rhs, n_node_unknowns), cache_(cache) {}
+
+  // Stamps a fixed-shape group of terms through a device's binding.
+  // `terms` is called with either this Stamper or a BoundStamper and must
+  // issue the same calls either way. When `b` is live in this pass the
+  // terms go straight into their recorded slots; otherwise they are
+  // stamped key-checked and, on a replay that has matched so far, `b` is
+  // (re)bound to the range they covered.
+  template <class Terms>
+  void bound(StampBinding& b, Terms&& terms) {
+    if (const std::size_t* slots = cache_.bound_slots(b)) {
+      BoundStamper bs(cache_.values(), slots, rhs_, node_unknowns());
+      terms(bs);
+      NEMTCAM_ENSURE_MSG(bs.next_slot() == slots + b.count,
+                         "bound stamp changed shape");
+      return;
+    }
+    const std::size_t mark = cache_.cursor();
+    terms(*this);
+    cache_.bind(b, mark);
+  }
+
+ private:
+  friend class StampOps<Stamper>;
   void madd(std::size_t r, std::size_t c, double v) { cache_.add(r, c, v); }
 
   AssemblyCache& cache_;
-  std::vector<double>& rhs_;
-  int n_node_unknowns_;
 };
 
 }  // namespace nemtcam::spice

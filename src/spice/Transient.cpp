@@ -273,20 +273,32 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
   NewtonOptions newton = opts.newton;
   double sticky_gmin = 0.0;
 
-  // Per-device previous power sample for trapezoidal energy integration.
+  // Per-hook device lists (indices into devs): the accepted-step loop
+  // calls a hook only on the devices that declare it (Device::hooks());
+  // the others would return the neutral default (+inf, 0).
   std::vector<Device*> devs;
   devs.reserve(circuit.devices().size());
   for (const auto& dev : circuit.devices()) devs.push_back(dev.get());
+  std::vector<std::size_t> event_devs, dt_hint_devs, power_devs, delivered_devs;
+  for (std::size_t i = 0; i < devs.size(); ++i) {
+    const unsigned hooks = devs[i]->hooks();
+    if (hooks & kHookEventFunction) event_devs.push_back(i);
+    if (hooks & kHookMaxDtHint) dt_hint_devs.push_back(i);
+    if (hooks & kHookPower) power_devs.push_back(i);
+    if (hooks & kHookDeliveredPower) delivered_devs.push_back(i);
+  }
+
+  // Per-device previous power sample for trapezoidal energy integration.
   std::vector<double> prev_delivered(devs.size(), 0.0);
   std::vector<double> prev_dissipated(devs.size(), 0.0);
   std::vector<double> acc_delivered(devs.size(), 0.0);
   std::vector<double> acc_dissipated(devs.size(), 0.0);
   {
     StampContext ctx0(0.0, 0.0, /*is_dc=*/false, n_node, &v_prev, &v_prev);
-    for (std::size_t i = 0; i < devs.size(); ++i) {
+    for (const std::size_t i : delivered_devs)
       prev_delivered[i] = devs[i]->delivered_power(ctx0);
+    for (const std::size_t i : power_devs)
       prev_dissipated[i] = devs[i]->power(ctx0);
-    }
   }
 
   // Probe recording: store only the requested unknowns per step.
@@ -323,8 +335,8 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
   std::vector<double> v_pred;           // predictor evaluation for this step
   std::vector<double> f_start, f_end;   // event function values
   if (use_events) {
-    f_start.resize(devs.size());
-    f_end.resize(devs.size());
+    f_start.resize(event_devs.size());
+    f_end.resize(event_devs.size());
   }
   double r_prev = 1.0;                  // previous step's LTE ratio (PI memory)
   bool pending_restart = false;         // set when an event was landed
@@ -335,8 +347,8 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
   while (t < opts.t_end - t_eps) {
     // Respect device hints.
     double dt_cap = opts.dt_max;
-    for (const auto& dev : circuit.devices())
-      dt_cap = std::min(dt_cap, dev->max_dt_hint());
+    for (const std::size_t i : dt_hint_devs)
+      dt_cap = std::min(dt_cap, devs[i]->max_dt_hint());
     dt = std::min(dt, dt_cap);
     while (next_bp < breakpoints.size() && breakpoints[next_bp] <= t + t_eps)
       ++next_bp;
@@ -392,8 +404,8 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
     if (use_events) {
       const StampContext ctx0(t, 0.0, /*is_dc=*/false, n_node, &v_prev,
                               &v_prev, step_integrator);
-      for (std::size_t i = 0; i < devs.size(); ++i)
-        f_start[i] = devs[i]->event_function(ctx0);
+      for (std::size_t j = 0; j < event_devs.size(); ++j)
+        f_start[j] = devs[event_devs[j]]->event_function(ctx0);
     }
 
     // Attempt the step: halve dt on Newton failure, shrink per the error
@@ -500,13 +512,13 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
       const auto eval_events = [&](double step, const std::vector<double>& sol) {
         const StampContext ec(t + step, step, /*is_dc=*/false, n_node, &sol,
                               &v_prev, step_integrator);
-        for (std::size_t i = 0; i < devs.size(); ++i)
-          f_end[i] = devs[i]->event_function(ec);
+        for (std::size_t j = 0; j < event_devs.size(); ++j)
+          f_end[j] = devs[event_devs[j]]->event_function(ec);
       };
       const auto crossed = [&]() {
-        for (std::size_t i = 0; i < devs.size(); ++i)
-          if (std::isfinite(f_start[i]) && f_start[i] > 0.0 &&
-              f_end[i] <= 0.0)
+        for (std::size_t j = 0; j < event_devs.size(); ++j)
+          if (std::isfinite(f_start[j]) && f_start[j] > 0.0 &&
+              f_end[j] <= 0.0)
             return true;
         return false;
       };
@@ -559,10 +571,12 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
     StampContext ctx(t, dt, /*is_dc=*/false, n_node, &v, &v_prev,
                      step_integrator);
     for (Device* dev : devs) dev->commit(ctx);
-    for (std::size_t i = 0; i < devs.size(); ++i) {
+    for (const std::size_t i : delivered_devs) {
       const double pd = devs[i]->delivered_power(ctx);
       acc_delivered[i] += 0.5 * (prev_delivered[i] + pd) * dt;
       prev_delivered[i] = pd;
+    }
+    for (const std::size_t i : power_devs) {
       const double pp = devs[i]->power(ctx);
       acc_dissipated[i] += 0.5 * (prev_dissipated[i] + pp) * dt;
       prev_dissipated[i] = pp;

@@ -1,4 +1,4 @@
-#include "linalg/DenseMatrix.h"
+#include "DenseMatrix.h"
 
 #include <algorithm>
 #include <cmath>

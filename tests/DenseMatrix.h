@@ -1,5 +1,5 @@
-// Row-major dense matrix, sized for MNA systems of small circuits
-// (a few hundred unknowns). Larger systems use SparseMatrix/SparseLu.
+// Row-major dense matrix for the dense LU test oracle (small systems; the
+// simulator itself uses SparseMatrix/SparseLu).
 #pragma once
 
 #include <cstddef>
@@ -45,7 +45,7 @@ class DenseMatrix {
   std::vector<double> data_;
 };
 
-// Vector helpers shared by solvers and the transient engine.
+// Vector helpers for the tests.
 double dot(const std::vector<double>& a, const std::vector<double>& b);
 double norm_inf(const std::vector<double>& v);
 // r = a - b

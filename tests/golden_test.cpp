@@ -265,7 +265,7 @@ TEST(ArrayGolden, EightByEightNemSearchReproducesRecordedRunOnBothSolvers) {
     ASSERT_EQ(m.rows.size(), static_cast<std::size_t>(kArrayDim));
     EXPECT_EQ(m.used_bbd, g.use_bbd);
     unsigned mask = 0;
-    std::string actual = "{" + std::string{g.use_bbd ? "true" : "false"};
+    std::string actual = g.use_bbd ? "{true" : "{false";
     for (int r = 0; r < kArrayDim; ++r)
       if (m.rows[static_cast<std::size_t>(r)].matched) mask |= 1u << r;
     char buf[192];

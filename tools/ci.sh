@@ -6,10 +6,11 @@
 # Stages:
 #   1. release build (preset `release`) + full ctest
 #   2. ASan/UBSan build (preset `asan`) + the `robustness`, `hier`,
-#      `golden`, `array`, `lifetime` and `sta` test labels (elaboration,
-#      the recorded transaction goldens, BBD solver, threaded Schur
-#      accumulation, multi-rate engine and static analysis code paths
-#      under the sanitizers)
+#      `golden`, `array`, `lifetime`, `sta` and `solver` test labels
+#      (elaboration, the recorded transaction goldens, BBD solver, threaded
+#      Schur accumulation, multi-rate engine, static analysis, and the
+#      bound stamps that write through recorded slot indices, under the
+#      sanitizers)
 #   3. TSan build (preset `tsan`) + the `array` and `solver` labels: the
 #      threaded Schur accumulation and the integrator paths it calls are
 #      the only concurrency in the repo, so those labels are the race
@@ -38,7 +39,7 @@ cmake --preset release
 cmake --build --preset release -j
 ctest --preset all -j
 
-echo "==== [2/7] asan build + robustness/hier/golden/array/lifetime/sta labels ===="
+echo "==== [2/7] asan build + robustness/hier/golden/array/lifetime/sta/solver labels ===="
 cmake --preset asan
 cmake --build --preset asan -j
 ctest --preset robustness-asan -j
@@ -47,6 +48,7 @@ ctest --preset golden-asan -j
 ctest --preset array-asan -j
 ctest --preset lifetime-asan -j
 ctest --preset sta-asan -j
+ctest --preset solver-asan -j
 
 echo "==== [3/7] tsan build + array/solver labels ===="
 cmake --preset tsan
