@@ -31,6 +31,7 @@
 #include "tcam/ArrayTemplate.h"
 #include "tcam/Nem3T2NRow.h"
 #include "tcam/RowSpecs.h"
+#include "util/ThreadPool.h"
 
 namespace {
 
@@ -397,8 +398,7 @@ int main(int argc, char** argv) {
       pct_delta(g_array_256.m.energy, g_array_mono256.m.energy);
   std::printf(
       "Full-array solver — coupled 3T2N search, BBD Schur vs monolithic "
-      "SparseLu (single-core host: block factorizations cannot fan out, "
-      "and device stamping, shared by both legs, dominates):\n"
+      "SparseLu (%zu pool threads, shared by both legs):\n"
       "  %dx%d:   monolithic %.1f ms/search (%zu steps), BBD %.1f "
       "ms/search (%zu steps; %zu blocks, border %zu, %llu fallbacks) — "
       "speedup %.2fx\n"
@@ -412,7 +412,8 @@ int main(int argc, char** argv) {
       "%.4f%%   energy dev: %+.4f%%   match vectors equal: %s\n"
       "  (step counts differ between the legs: rounding-level solution "
       "differences steer the LTE controller onto different trajectories)\n",
-      kRows, kWidth, g_array_mono.per_search_s * 1e3, g_array_mono.m.steps,
+      util::shared_pool().thread_count(), kRows, kWidth,
+      g_array_mono.per_search_s * 1e3, g_array_mono.m.steps,
       g_array_bbd.per_search_s * 1e3, g_array_bbd.m.steps,
       g_array_bbd.m.bbd_blocks, g_array_bbd.m.bbd_border,
       static_cast<unsigned long long>(g_array_bbd.m.bbd_fallbacks),

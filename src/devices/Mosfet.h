@@ -104,7 +104,7 @@ double ekv_off_leak(const MosfetParams& p, double vth_eff);
 // Backward-Euler/trapezoidal scheme as CapCompanion. The companion
 // conductances k·C/dt are computed once per (dt, integrator) and shared by
 // stamp and commit. A transient pass stamps through the device's binding
-// to its recorded matrix slots (Stamper::bound); a DC pass, where the
+// to its recorded stamp range (Stamper::bound); a DC pass, where the
 // capacitors are open and the shape differs, stamps key-checked.
 class TransistorStamp {
  public:

@@ -26,14 +26,18 @@ double NemRelay::effective_vgb(double v_gb) const {
 }
 
 void NemRelay::stamp(Stamper& s, const StampContext& ctx) {
-  // Drain–source contact.
   const double g_ds = contact() ? 1.0 / params_.r_on : params_.g_off;
-  s.conductance(d_, s_, g_ds);
-
-  // Gate–body leakage, if configured.
-  if (params_.gate_leak_g > 0.0) s.conductance(g_, b_, params_.gate_leak_g);
-
-  if (ctx.dc()) return;
+  const auto conductances = [&](auto& out) {
+    // Drain–source contact.
+    out.conductance(d_, s_, g_ds);
+    // Gate–body leakage, if configured.
+    if (params_.gate_leak_g > 0.0)
+      out.conductance(g_, b_, params_.gate_leak_g);
+  };
+  if (ctx.dc()) {
+    conductances(s);
+    return;
+  }
 
   // Charge-based companion for the position-dependent gate capacitance:
   //   i = (C(z)·v_gb − q_prev)/dt
@@ -45,7 +49,10 @@ void NemRelay::stamp(Stamper& s, const StampContext& ctx) {
   const double g = c / ctx.dt();
   const double v_gb = ctx.v(g_) - ctx.v(b_);
   const double i = (c * v_gb - q_gb_) / ctx.dt();
-  s.nonlinear_current(g_, b_, i, g, v_gb);
+  s.bound(binding_, [&](auto& out) {
+    conductances(out);
+    out.nonlinear_current(g_, b_, i, g, v_gb);
+  });
 }
 
 NemRelay::MechDrive NemRelay::drive_for(double v_now_eff, double v_before_eff,

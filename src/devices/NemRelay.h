@@ -148,6 +148,7 @@ class NemRelay final : public Device {
   double q_gb_ = 0.0;           // charge on the gate-body capacitance
   double t_closed_ = -1.0;
   double t_opened_ = -1.0;
+  spice::StampBinding binding_;  // transient stamp's recorded range
 };
 
 }  // namespace nemtcam::devices

@@ -8,8 +8,13 @@ namespace nemtcam::devices {
 Resistor::Resistor(std::string name, NodeId a, NodeId b, double ohms)
     : Device(std::move(name)), a_(a), b_(b), ohms_(ohms) {}
 
-void Resistor::stamp(Stamper& s, const StampContext&) {
-  s.conductance(a_, b_, 1.0 / ohms_);
+void Resistor::stamp(Stamper& s, const StampContext& ctx) {
+  const double g = 1.0 / ohms_;
+  if (ctx.dc()) {
+    s.conductance(a_, b_, g);
+    return;
+  }
+  s.bound(binding_, [&](auto& out) { out.conductance(a_, b_, g); });
 }
 
 double Resistor::power(const StampContext& ctx) const {

@@ -26,6 +26,7 @@ class Resistor final : public Device {
  private:
   NodeId a_, b_;
   double ohms_;
+  spice::StampBinding binding_;  // transient stamp's recorded range
 };
 
 // Linear capacitor. Backward Euler uses the previous accepted voltage
@@ -33,7 +34,7 @@ class Resistor final : public Device {
 // previous step's current (i = 2C·(v − v_prev)/dt − i_prev) for
 // second-order accuracy. Open in DC analysis. The companion conductance
 // k·C/dt is computed once per (dt, integrator), and transient passes stamp
-// through the device's binding to its recorded matrix slots.
+// through the device's binding to its recorded stamp range.
 class Capacitor final : public Device {
  public:
   Capacitor(std::string name, NodeId a, NodeId b, double farads);

@@ -26,10 +26,17 @@ VSource::VSource(std::string name, NodeId plus, NodeId minus, double dc_volts,
               std::make_unique<spice::DcWave>(dc_volts), series_ohms) {}
 
 void VSource::stamp(Stamper& s, const StampContext& ctx) {
-  s.voltage_source(plus_, minus_, first_branch(),
-                   ctx.source_scale() * wave_.at(ctx.t()));
-  if (series_ohms_ > 0.0)
-    s.branch_series_resistance(first_branch(), series_ohms_);
+  const double volts = ctx.source_scale() * wave_.at(ctx.t());
+  const auto terms = [&](auto& out) {
+    out.voltage_source(plus_, minus_, first_branch(), volts);
+    if (series_ohms_ > 0.0)
+      out.branch_series_resistance(first_branch(), series_ohms_);
+  };
+  if (ctx.dc()) {
+    terms(s);
+    return;
+  }
+  s.bound(binding_, terms);
 }
 
 double VSource::delivered_power(const StampContext& ctx) const {

@@ -80,6 +80,7 @@ class VSource final : public Device {
   NodeId plus_, minus_;
   SampledWave wave_;
   double series_ohms_;
+  spice::StampBinding binding_;  // transient stamp's recorded range
 };
 
 // Ideal current source: current value(t) flows from `from` to `to` through

@@ -59,6 +59,7 @@ bool SparseLu::refactorize(SparseMatrix& a) {
 }
 
 void SparseLu::factorize(const CsrView& a) {
+  NEMTCAM_EXPECT_MSG(a.n < UINT32_MAX, "SparseLu: n exceeds 32-bit indexing");
   n_ = a.n;
   factored_ = false;
   ++generation_;  // new pivot order: schedule-derived plans are stale
@@ -177,7 +178,7 @@ void SparseLu::factorize(const CsrView& a) {
     for (const std::size_t r : cands) {
       if (r == best_row) continue;
       const double factor = value_at(r, k) / pivot_val;
-      op_target_.push_back(r);
+      op_target_.push_back(static_cast<std::uint32_t>(r));
       op_factor_.push_back(factor);
 
       // row_r -= factor * pivot_row (scatter/gather). The eliminated
@@ -212,25 +213,34 @@ void SparseLu::factorize(const CsrView& a) {
     }
   }
   stage_op_begin_[n_] = op_target_.size();
+  // The op count is known only now: drop the growth slack.
+  op_target_.shrink_to_fit();
+  op_factor_.shrink_to_fit();
 
   // Flatten the final row patterns into CSR-style U storage.
+  std::size_t fill = 0;
+  for (const auto& row : rows) fill += row.size();
+  NEMTCAM_EXPECT_MSG(fill < UINT32_MAX,
+                     "SparseLu: fill exceeds 32-bit indexing");
   u_ptr_.assign(n_ + 1, 0);
   u_cols_.clear();
   u_vals_.clear();
+  u_cols_.reserve(fill);
+  u_vals_.reserve(fill);
   for (std::size_t r = 0; r < n_; ++r) {
     for (const auto& [c, v] : rows[r]) {
-      u_cols_.push_back(c);
+      u_cols_.push_back(static_cast<std::uint32_t>(c));
       u_vals_.push_back(v);
     }
     u_ptr_[r + 1] = u_cols_.size();
   }
 
-  auto u_index = [&](std::size_t row, std::size_t col) -> std::size_t {
+  auto u_index = [&](std::size_t row, std::size_t col) -> std::uint32_t {
     const auto first = u_cols_.begin() + static_cast<std::ptrdiff_t>(u_ptr_[row]);
     const auto last = u_cols_.begin() + static_cast<std::ptrdiff_t>(u_ptr_[row + 1]);
     const auto it = std::lower_bound(first, last, col);
     NEMTCAM_ENSURE(it != last && *it == col);
-    return static_cast<std::size_t>(it - u_cols_.begin());
+    return static_cast<std::uint32_t>(it - u_cols_.begin());
   };
 
   // stage_of_col: stage at which each column was eliminated — tells which
@@ -241,25 +251,36 @@ void SparseLu::factorize(const CsrView& a) {
   // Active pivot-row positions per stage (everything not eliminated in an
   // earlier stage, minus the pivot column itself, which the replay zeroes
   // through the factor slot).
+  // Counted first so the flat array is sized exactly.
+  const auto active = [&](std::size_t s, std::size_t j) {
+    return stage_of_col[u_cols_[j]] > s;  // not an earlier stage, not k
+  };
   stage_src_begin_.assign(n_ + 1, 0);
-  stage_src_.clear();
   for (std::size_t s = 0; s < n_; ++s) {
-    stage_src_begin_[s] = stage_src_.size();
     const std::size_t p = pivot_of_stage_[s];
-    for (std::size_t j = u_ptr_[p]; j < u_ptr_[p + 1]; ++j) {
-      const std::size_t c = u_cols_[j];
-      if (stage_of_col[c] <= s) continue;  // earlier stage (zero) or k itself
-      stage_src_.push_back(j);
-    }
+    std::size_t len = 0;
+    for (std::size_t j = u_ptr_[p]; j < u_ptr_[p + 1]; ++j) len += active(s, j);
+    stage_src_begin_[s + 1] = stage_src_begin_[s] + len;
+  }
+  stage_src_.clear();
+  stage_src_.reserve(stage_src_begin_[n_]);
+  for (std::size_t s = 0; s < n_; ++s) {
+    const std::size_t p = pivot_of_stage_[s];
+    for (std::size_t j = u_ptr_[p]; j < u_ptr_[p + 1]; ++j)
+      if (active(s, j)) stage_src_.push_back(static_cast<std::uint32_t>(j));
     diag_idx_[s] = u_index(p, col_of_stage_[s]);
   }
-  stage_src_begin_[n_] = stage_src_.size();
 
   // Per-op scatter maps: destination index in the target row for each
   // active pivot-row position of the op's stage, plus the factor slot.
+  std::size_t map_size = 0;
+  for (std::size_t s = 0; s < n_; ++s)
+    map_size += (stage_op_begin_[s + 1] - stage_op_begin_[s]) *
+                (stage_src_begin_[s + 1] - stage_src_begin_[s]);
   op_factor_idx_.assign(op_target_.size(), 0);
   op_map_begin_.assign(op_target_.size() + 1, 0);
   op_map_.clear();
+  op_map_.reserve(map_size);
   for (std::size_t s = 0; s < n_; ++s) {
     const std::size_t k = col_of_stage_[s];
     for (std::size_t oi = stage_op_begin_[s]; oi < stage_op_begin_[s + 1]; ++oi) {
@@ -316,7 +337,7 @@ bool SparseLu::refactorize(const CsrView& a) {
       const double f = u_vals_[op_factor_idx_[oi]] * inv;
       op_factor_[oi] = f;
       u_vals_[op_factor_idx_[oi]] = 0.0;
-      const std::size_t* dst = op_map_.data() + op_map_begin_[oi];
+      const std::uint32_t* dst = op_map_.data() + op_map_begin_[oi];
       for (std::size_t j = 0; j < src_len; ++j)
         u_vals_[dst[j]] -= f * u_vals_[stage_src_[src_begin + j]];
     }
@@ -356,8 +377,8 @@ void SparseLu::solve_inplace(double* bx) const {
     const std::size_t p = pivot_of_stage_[stage];
     const std::size_t k = col_of_stage_[stage];
     double acc = y[p];
-    const std::size_t* src = stage_src_.data() + stage_src_begin_[stage];
-    const std::size_t* end = stage_src_.data() + stage_src_begin_[stage + 1];
+    const std::uint32_t* src = stage_src_.data() + stage_src_begin_[stage];
+    const std::uint32_t* end = stage_src_.data() + stage_src_begin_[stage + 1];
     for (; src != end; ++src) acc -= u_vals_[*src] * x[u_cols_[*src]];
     const double diag = u_vals_[diag_idx_[stage]];
     NEMTCAM_ENSURE_MSG(diag != 0.0, "SparseLu::solve: zero diagonal");

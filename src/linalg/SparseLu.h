@@ -93,11 +93,11 @@ class SparseLu {
     const std::size_t* col_of_stage = nullptr;
     const std::size_t* diag_idx = nullptr;        // stage -> u_vals index
     const std::size_t* stage_op_begin = nullptr;  // n + 1
-    const std::size_t* op_target = nullptr;
+    const std::uint32_t* op_target = nullptr;
     const double* op_factor = nullptr;
     const std::size_t* stage_src_begin = nullptr;  // n + 1
-    const std::size_t* stage_src = nullptr;        // u_cols/u_vals indices
-    const std::size_t* u_cols = nullptr;
+    const std::uint32_t* stage_src = nullptr;      // u_cols/u_vals indices
+    const std::uint32_t* u_cols = nullptr;
     const double* u_vals = nullptr;
     const std::size_t* u_ptr = nullptr;  // n + 1: physical row extents
   };
@@ -129,10 +129,13 @@ class SparseLu {
   bool factored_ = false;
   std::uint64_t generation_ = 0;
 
+  // Index storage is 32-bit: factorize() requires n and the fill (U
+  // entries) to stay below 2^32, and sizes the flat arrays exactly.
+  //
   // U storage: final (post-fill) pattern of every physical row, flat CSR.
   // Values at columns eliminated from a row are exact zeros.
-  std::vector<std::size_t> u_ptr_;   // n + 1
-  std::vector<std::size_t> u_cols_;  // sorted per row
+  std::vector<std::size_t> u_ptr_;     // n + 1
+  std::vector<std::uint32_t> u_cols_;  // sorted per row
   std::vector<double> u_vals_;
 
   // Stage schedule (fixed by the symbolic phase).
@@ -145,23 +148,23 @@ class SparseLu {
   // Active pivot-row positions per stage (indices into u_vals_): columns
   // not yet eliminated when the row pivoted, minus the pivot column.
   std::vector<std::size_t> stage_src_begin_;  // n + 1
-  std::vector<std::size_t> stage_src_;
+  std::vector<std::uint32_t> stage_src_;
 
   // Elimination operations, in schedule order. Op i subtracts
   // factor·pivot_row from target row op_target_[i]; the factor numerator
   // lives at u_vals_[op_factor_idx_[i]] and the scatter targets for the
   // pivot row's j-th entry at u_vals_[op_map_[op_map_begin_[i] + j]].
-  std::vector<std::size_t> op_target_;
-  std::vector<std::size_t> op_factor_idx_;
+  std::vector<std::uint32_t> op_target_;
+  std::vector<std::uint32_t> op_factor_idx_;
   std::vector<std::size_t> op_map_begin_;  // op count + 1
-  std::vector<std::size_t> op_map_;
+  std::vector<std::uint32_t> op_map_;
   std::vector<double> op_factor_;          // numeric factors (per refactor)
 
   // Copy of the analyzed input pattern, for refactorize() verification and
   // value scatter: input entry j lands at u_vals_[scatter_map_[j]].
   std::vector<std::size_t> in_row_ptr_;
   std::vector<std::size_t> in_cols_;
-  std::vector<std::size_t> scatter_map_;
+  std::vector<std::uint32_t> scatter_map_;
 
   mutable std::vector<double> x_scratch_;  // solve_inplace back-substitution
 };

@@ -105,13 +105,20 @@ class Circuit {
 
   // Installs a bordered-block-diagonal partition of this circuit's
   // unknowns (see spice/Partition.h); Newton solves then route through
-  // linalg::BbdSolver on `pool`. Adding any device afterwards drops the
-  // partition along with the stamp pattern.
+  // linalg::BbdSolver on the solver pool. Adding any device afterwards
+  // drops the partition along with the stamp pattern.
   void set_solver_partition(
-      std::shared_ptr<const linalg::BbdPartition> partition,
-      util::ThreadPool* pool) {
-    solver_cache().set_partition(std::move(partition), pool);
+      std::shared_ptr<const linalg::BbdPartition> partition) {
+    solver_cache().set_partition(std::move(partition));
   }
+
+  // Attaches the pool this circuit's own solves fan out on (replayed
+  // device stamping and its gather, accepted-step device hooks, BBD block
+  // factorizations); nullptr runs them inline. Results are bit-identical
+  // either way. The pool survives topology changes. Devices of a pooled
+  // circuit are stamped, committed and evaluated from pool threads, one
+  // thread per device at a time.
+  void set_solver_pool(util::ThreadPool* pool) { solver_cache().set_pool(pool); }
 
  private:
   std::unordered_map<std::string, NodeId> name_to_id_;

@@ -72,7 +72,7 @@ NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
       Stamper stamper(cache, rhs, n_node);
       StampContext ctx(t, dt, is_dc, n_node, &v, &v_prev, integrator);
       ctx.set_source_scale(opts.source_scale);
-      for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
+      stamper.stamp_devices(circuit.devices(), ctx);
       if (opts.gmin > 0.0)
         for (int i = 1; i <= n_node; ++i)
           stamper.conductance(static_cast<NodeId>(i), kGround, opts.gmin);

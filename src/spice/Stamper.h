@@ -19,14 +19,19 @@
 #include "spice/Types.h"
 #include "util/Expect.h"
 
+#include <memory>
 #include <vector>
 
 namespace nemtcam::spice {
 
+class Device;
+class StampContext;
+
 // Element stamps shared by the two stamping back ends. `Sink` supplies
-// madd(r, c, v); unknown indexing, ground elision, term order and the
-// right-hand side are common, so a bound pass issues exactly the
-// contributions of a key-checked pass, in the same order.
+// madd(r, c, v) for matrix terms and radd(r, v) for right-hand-side
+// terms; unknown indexing, ground elision and term order are common, so a
+// bound pass issues exactly the contributions of a key-checked pass, in
+// the same order.
 template <class Sink>
 class StampOps {
  public:
@@ -44,8 +49,8 @@ class StampOps {
   void current(NodeId a, NodeId b, double i) {
     const int ia = idx(a);
     const int ib = idx(b);
-    if (ia >= 0) rhs_[u(ia)] -= i;
-    if (ib >= 0) rhs_[u(ib)] += i;
+    if (ia >= 0) radd(u(ia), -i);
+    if (ib >= 0) radd(u(ib), i);
   }
 
   void vccs(NodeId a, NodeId b, NodeId c, NodeId d, double gm) {
@@ -80,7 +85,7 @@ class StampOps {
       madd(u(im), rb, -1.0);
       madd(rb, u(im), -1.0);
     }
-    rhs_[rb] += volts;
+    radd(rb, volts);
   }
 
   // Adds series resistance to a previously stamped voltage-source branch:
@@ -123,10 +128,7 @@ class StampOps {
   int node_unknowns() const noexcept { return n_node_unknowns_; }
 
  protected:
-  StampOps(std::vector<double>& rhs, int n_node_unknowns)
-      : rhs_(rhs), n_node_unknowns_(n_node_unknowns) {}
-
-  std::vector<double>& rhs_;
+  explicit StampOps(int n_node_unknowns) : n_node_unknowns_(n_node_unknowns) {}
 
  private:
   static int idx(NodeId n) { return n - 1; }  // -1 for ground
@@ -135,61 +137,100 @@ class StampOps {
   void madd(std::size_t r, std::size_t c, double v) {
     static_cast<Sink&>(*this).madd(r, c, v);
   }
+  void radd(std::size_t r, double v) { static_cast<Sink&>(*this).radd(r, v); }
 
   int n_node_unknowns_;
 };
 
-// Adds a bound device's matrix terms straight into its recorded slots,
-// one after another; the keys were verified when the range was bound.
+// Issues a bound device's terms straight into its recorded range, one
+// after another — added into their slots, or written to the term buffer —
+// the keys were verified when the range was bound. A device issuing more
+// or fewer terms than the range holds is caught by filled() (extra terms
+// are dropped, never written past it).
 class BoundStamper : public StampOps<BoundStamper> {
  public:
-  BoundStamper(double* vals, const std::size_t* slots, std::vector<double>& rhs,
-               int n_node_unknowns)
-      : StampOps(rhs, n_node_unknowns), vals_(vals), slot_(slots) {}
+  BoundStamper(const AssemblyCache::BoundRange& range, int n_node_unknowns)
+      : StampOps(n_node_unknowns), range_(range) {}
 
-  // One past the last slot written so far.
-  const std::size_t* next_slot() const noexcept { return slot_; }
+  bool filled() const noexcept { return !overflow_ && next_ == range_.count; }
 
  private:
   friend class StampOps<BoundStamper>;
-  void madd(std::size_t, std::size_t, double v) { vals_[*slot_++] += v; }
+  void put(double v) {
+    if (next_ == range_.count) {
+      overflow_ = true;
+      return;
+    }
+    const std::uint32_t i = next_++;
+    if (range_.slots != nullptr) range_.out[range_.slots[i]] += v;
+    else range_.out[i] = v;
+  }
+  void madd(std::size_t, std::size_t, double v) { put(v); }
+  void radd(std::size_t, double v) { put(v); }
 
-  double* vals_;
-  const std::size_t* slot_;
+  AssemblyCache::BoundRange range_;
+  std::uint32_t next_ = 0;
+  bool overflow_ = false;
 };
 
 class Stamper : public StampOps<Stamper> {
  public:
-  // Matrix contributions go to `cache` (fixed-pattern assembly, see
-  // AssemblyCache); right-hand-side contributions to `rhs`.
+  // Terms go to `cache` (fixed-pattern assembly, see AssemblyCache); a
+  // build pass adds right-hand-side terms to `rhs` directly, a replay has
+  // the cache's finish() copy their sums into it.
   Stamper(AssemblyCache& cache, std::vector<double>& rhs, int n_node_unknowns)
-      : StampOps(rhs, n_node_unknowns), cache_(cache) {}
+      : StampOps(n_node_unknowns), cache_(cache), rhs_(&rhs),
+        lane_(&cache.main_lane()) {
+    cache.attach_rhs(rhs);
+  }
+
+  // Stamps every device at `ctx`, recording device boundaries on a build
+  // pass. A replay on a cache with a pool splits the devices into
+  // contiguous ranges, each replayed from its recorded start on the pool
+  // (devices must only read shared state while stamping); otherwise the
+  // loop runs inline. Either way every slot sums its terms in recorded
+  // order.
+  void stamp_devices(const std::vector<std::unique_ptr<Device>>& devices,
+                     const StampContext& ctx);
 
   // Stamps a fixed-shape group of terms through a device's binding.
   // `terms` is called with either this Stamper or a BoundStamper and must
   // issue the same calls either way. When `b` is live in this pass the
-  // terms go straight into their recorded slots; otherwise they are
+  // terms go straight into their recorded range; otherwise they are
   // stamped key-checked and, on a replay that has matched so far, `b` is
   // (re)bound to the range they covered.
   template <class Terms>
   void bound(StampBinding& b, Terms&& terms) {
-    if (const std::size_t* slots = cache_.bound_slots(b)) {
-      BoundStamper bs(cache_.values(), slots, rhs_, node_unknowns());
+    AssemblyCache::BoundRange range;
+    if (cache_.bound_range(*lane_, b, range)) {
+      BoundStamper bs(range, node_unknowns());
       terms(bs);
-      NEMTCAM_ENSURE_MSG(bs.next_slot() == slots + b.count,
-                         "bound stamp changed shape");
+      if (!bs.filled()) lane_->ok = false;  // shape changed; pass is void
       return;
     }
-    const std::size_t mark = cache_.cursor();
+    const std::size_t mark = lane_->cursor;
     terms(*this);
-    cache_.bind(b, mark);
+    cache_.bind(*lane_, b, mark);
   }
 
  private:
   friend class StampOps<Stamper>;
-  void madd(std::size_t r, std::size_t c, double v) { cache_.add(r, c, v); }
+  // A stamper for one lane of a split replay (no right-hand side: replays
+  // never touch it directly).
+  Stamper(AssemblyCache& cache, AssemblyCache::Lane& lane, int n_node_unknowns)
+      : StampOps(n_node_unknowns), cache_(cache), lane_(&lane) {}
+
+  void madd(std::size_t r, std::size_t c, double v) {
+    cache_.put(*lane_, r, c, v);
+  }
+  void radd(std::size_t r, double v) {
+    if (cache_.building()) (*rhs_)[r] += v;
+    cache_.put_rhs(*lane_, r, v);
+  }
 
   AssemblyCache& cache_;
+  std::vector<double>* rhs_ = nullptr;
+  AssemblyCache::Lane* lane_;
 };
 
 }  // namespace nemtcam::spice

@@ -8,6 +8,7 @@
 
 #include "util/Expect.h"
 #include "util/Log.h"
+#include "util/ThreadPool.h"
 
 namespace nemtcam::spice {
 
@@ -136,6 +137,19 @@ double pi_growth(double r, double r_prev, int order, double grow_max) {
   const double e = 1.0 / (order + 1.0);
   const double fac = 0.9 * std::pow(r, -0.7 * e) * std::pow(r_prev, 0.3 * e);
   return std::clamp(fac, 0.2, grow_max);
+}
+
+// Runs fn(i) for every i in [0, n): across `pool` in contiguous chunks
+// when there is one and enough work, else inline. fn(i) must write only
+// state owned by index i, so the result does not depend on the split.
+template <class Fn>
+void for_each_device(util::ThreadPool* pool, std::size_t n, Fn&& fn) {
+  constexpr std::size_t kGrain = 256;
+  if (pool == nullptr || n < 2 * kGrain) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->parallel_for(0, n, fn, kGrain);
 }
 
 }  // namespace
@@ -275,7 +289,12 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
 
   // Per-hook device lists (indices into devs): the accepted-step loop
   // calls a hook only on the devices that declare it (Device::hooks());
-  // the others would return the neutral default (+inf, 0).
+  // the others would return the neutral default (+inf, 0). commit, power
+  // and event_function each touch only their own device's state and
+  // result slot, so they fan out on the circuit's solver pool (if any);
+  // delivered_power (a handful of sources) and the dt-hint minimum stay
+  // inline.
+  util::ThreadPool* const pool = circuit.solver_cache().pool();
   std::vector<Device*> devs;
   devs.reserve(circuit.devices().size());
   for (const auto& dev : circuit.devices()) devs.push_back(dev.get());
@@ -404,8 +423,9 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
     if (use_events) {
       const StampContext ctx0(t, 0.0, /*is_dc=*/false, n_node, &v_prev,
                               &v_prev, step_integrator);
-      for (std::size_t j = 0; j < event_devs.size(); ++j)
+      for_each_device(pool, event_devs.size(), [&](std::size_t j) {
         f_start[j] = devs[event_devs[j]]->event_function(ctx0);
+      });
     }
 
     // Attempt the step: halve dt on Newton failure, shrink per the error
@@ -512,8 +532,9 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
       const auto eval_events = [&](double step, const std::vector<double>& sol) {
         const StampContext ec(t + step, step, /*is_dc=*/false, n_node, &sol,
                               &v_prev, step_integrator);
-        for (std::size_t j = 0; j < event_devs.size(); ++j)
+        for_each_device(pool, event_devs.size(), [&](std::size_t j) {
           f_end[j] = devs[event_devs[j]]->event_function(ec);
+        });
       };
       const auto crossed = [&]() {
         for (std::size_t j = 0; j < event_devs.size(); ++j)
@@ -570,17 +591,19 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
     // state stays consistent).
     StampContext ctx(t, dt, /*is_dc=*/false, n_node, &v, &v_prev,
                      step_integrator);
-    for (Device* dev : devs) dev->commit(ctx);
+    for_each_device(pool, devs.size(),
+                    [&](std::size_t i) { devs[i]->commit(ctx); });
     for (const std::size_t i : delivered_devs) {
       const double pd = devs[i]->delivered_power(ctx);
       acc_delivered[i] += 0.5 * (prev_delivered[i] + pd) * dt;
       prev_delivered[i] = pd;
     }
-    for (const std::size_t i : power_devs) {
+    for_each_device(pool, power_devs.size(), [&](std::size_t j) {
+      const std::size_t i = power_devs[j];
       const double pp = devs[i]->power(ctx);
       acc_dissipated[i] += 0.5 * (prev_dissipated[i] + pp) * dt;
       prev_dissipated[i] = pp;
-    }
+    });
 
     if (opts.record) record_sample(t, v);
     if (lte) hist.push(t, v);

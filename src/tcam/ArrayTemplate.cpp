@@ -150,11 +150,10 @@ void ArrayFixture::claim(int owner) {
 
 void ArrayFixture::install_partition() {
   claim(-1);  // anything nobody claimed is shared
+  circuit_.set_solver_pool(opt_.pool ? opt_.pool : &util::shared_pool());
   if (!opt_.use_bbd) return;
-  auto part = std::make_shared<linalg::BbdPartition>(spice::make_bbd_partition(
-      circuit_, owner_of_device_, n_owners()));
-  util::ThreadPool* pool = opt_.pool ? opt_.pool : &util::shared_pool();
-  circuit_.set_solver_partition(std::move(part), pool);
+  circuit_.set_solver_partition(std::make_shared<linalg::BbdPartition>(
+      spice::make_bbd_partition(circuit_, owner_of_device_, n_owners())));
 }
 
 const erc::Report& ArrayFixture::check() {

@@ -18,7 +18,9 @@
 // the rails in the border; per-row blocks own their matchline but push
 // every line-segment node into a 2·M·segments border. Set
 // ArrayOptions::use_bbd = false for the monolithic-SparseLu A/B leg: the
-// circuit is bit-identical, only the linear solver changes.
+// circuit is bit-identical, only the linear solver changes. Either way
+// the circuit's device stamping and accepted-step hooks fan out on the
+// same pool (ArrayOptions::pool), with bit-identical results.
 //
 // The elaborate-once / replay-many contract matches SearchTemplate:
 // key changes rebind the driver waveforms, stored-word changes to the
@@ -71,8 +73,11 @@ struct ArrayOptions {
   // Run the ERC pass before the transient. Worth disabling for the very
   // large bench arrays: the rules walk the full device list per row.
   bool run_erc = true;
-  // Pool for the per-row block factorizations; nullptr → the process-wide
-  // util::shared_pool(). Determinism tests pass their own fixed-size pool.
+  // Pool the circuit's solves fan out on — replayed device stamping,
+  // accepted-step device hooks and, with use_bbd, the block
+  // factorizations — whichever solver is selected; nullptr → the
+  // process-wide util::shared_pool(). Results do not depend on it.
+  // Determinism tests pass their own fixed-size pool.
   util::ThreadPool* pool = nullptr;
 };
 
@@ -170,9 +175,9 @@ class ArrayFixture {
                                                       : rows_ + 2 * width_;
   }
 
-  // Derives the BBD partition from the claimed owners and installs it on
-  // the circuit's solver cache (no-op when options disable BBD). Call
-  // after the last device is added.
+  // Attaches the options' pool to the circuit's solver cache and, unless
+  // options disable BBD, derives the BBD partition from the claimed
+  // owners and installs it there. Call after the last device is added.
   void install_partition();
 
   // ERC gate (when enabled) + transient over the search timeline, probing

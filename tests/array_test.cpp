@@ -291,6 +291,86 @@ TEST(ArrayBbd, DeterministicAcrossThreadCounts) {
   }
 }
 
+// The circuit's device loop, its gather and the accepted-step hooks run
+// on the array's pool whichever solver is selected; every term lands at
+// its recorded position, so no pool size may move a bit of the result.
+TEST(ArrayPool, SearchIsBitIdenticalAcrossPoolSizesOnBothSolvers) {
+  const Calibration& cal = Calibration::standard();
+  const int R = 8, W = 8;
+  const TernaryWord key = word_for_row(2, W);
+
+  for (const bool use_bbd : {true, false}) {
+    SCOPED_TRACE(use_bbd ? "bbd" : "monolithic");
+    std::vector<ArraySearchMetrics> runs;
+    for (const std::size_t threads : {1, 2, 4}) {
+      util::ThreadPool pool(threads);
+      ArrayOptions opt;
+      opt.pool = &pool;
+      opt.use_bbd = use_bbd;
+      ArrayTemplate arr(tcam::nem3t2n_search_spec(cal), R, W, opt);
+      for (int r = 0; r < R; ++r) arr.store(r, word_for_row(r, W));
+      runs.push_back(arr.search(key));
+      ASSERT_TRUE(runs.back().ok) << runs.back().note;
+      EXPECT_EQ(runs.back().used_bbd, use_bbd);
+      spice::Circuit& ckt = arr.fixture()->circuit();
+      // Enough devices for several device ranges (64 devices each).
+      EXPECT_GE(ckt.devices().size(), 4u * 64u);
+      const auto& st = ckt.solver_cache().stats();
+      EXPECT_GT(st.parallel_passes, 0u);
+      EXPECT_GE(st.parallel_passes, st.bound_passes);
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      SCOPED_TRACE("pool variant " + std::to_string(i));
+      EXPECT_EQ(runs[i].steps, runs[0].steps);
+      EXPECT_EQ(runs[i].steps_rejected, runs[0].steps_rejected);
+      EXPECT_EQ(runs[i].newton_iters, runs[0].newton_iters);
+      EXPECT_EQ(runs[i].energy, runs[0].energy);  // bitwise
+      EXPECT_EQ(runs[i].match_count, runs[0].match_count);
+      for (int r = 0; r < R; ++r) {
+        EXPECT_EQ(runs[i].rows[r].matched, runs[0].rows[r].matched);
+        EXPECT_EQ(runs[i].rows[r].ml_final, runs[0].rows[r].ml_final);
+        EXPECT_EQ(runs[i].rows[r].latency, runs[0].rows[r].latency);
+      }
+    }
+  }
+}
+
+// AssemblyCache::Stats::parallel_passes shows whether the device loop
+// actually ran split: positive on an array (which always has a pool),
+// zero on every row kind (rows never get one).
+TEST(ArrayPool, ParallelPassesCountedOnArraysOnly) {
+  const Calibration& cal = Calibration::standard();
+  const int R = 4, W = 16;
+  ArrayTemplate arr(tcam::nem3t2n_search_spec(cal), R, W);
+  for (int r = 0; r < R; ++r) arr.store(r, word_for_row(r, W));
+  const ArraySearchMetrics m = arr.search(word_for_row(1, W));
+  ASSERT_TRUE(m.ok) << m.note;
+  EXPECT_GT(arr.fixture()->circuit().solver_cache().stats().parallel_passes,
+            0u);
+
+  const struct {
+    const char* name;
+    tcam::SearchTemplateSpec spec;
+  } kinds[] = {{"Sram16T", tcam::sram16t_search_spec(cal)},
+               {"Nem3T2N", tcam::nem3t2n_search_spec(cal)},
+               {"Rram2T2R", tcam::rram2t2r_search_spec(cal)},
+               {"Fefet2F", tcam::fefet2f_search_spec(cal)},
+               {"Dtcam5T", tcam::dtcam5t_search_spec(cal)},
+               {"Fefet4T2F", tcam::fefet4t2f_search_spec(cal)},
+               {"Mram4T2M", tcam::mram4t2m_search_spec(cal)}};
+  for (const auto& kind : kinds) {
+    SCOPED_TRACE(kind.name);
+    tcam::SearchTemplate row(kind.spec, W, 16);
+    const TernaryWord stored = word_for_row(0, W);
+    TernaryWord key = stored;
+    key[3] = key[3] == Ternary::One ? Ternary::Zero : Ternary::One;
+    row.search(key, stored, kind.spec.t_strobe);
+    const auto& st = row.circuit()->solver_cache().stats();
+    EXPECT_GT(st.assemblies, 0u);
+    EXPECT_EQ(st.parallel_passes, 0u);
+  }
+}
+
 TEST(ArrayReplay, KeyChangeRebindsWithoutReconstruction) {
   const Calibration& cal = Calibration::standard();
   const int R = 4, W = 8;

@@ -1,7 +1,7 @@
-// Bound stamping (spice::StampBinding), the per-hook device lists of the
-// transient loop, and the trimmed SparseLu back-substitution: each is a
-// pure speed change, so each is checked bit for bit against the path it
-// replaces.
+// Bound stamping (spice::StampBinding), the split replay of a pooled
+// circuit, the per-hook device lists of the transient loop, and the
+// trimmed SparseLu back-substitution: each is a pure speed change, so each
+// is checked bit for bit against the path it replaces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +34,7 @@
 #include "tcam/RowSpecs.h"
 #include "tcam/SearchTemplate.h"
 #include "util/Random.h"
+#include "util/ThreadPool.h"
 
 namespace {
 
@@ -168,6 +169,70 @@ TEST(StampBinding, BoundPassEqualsRecordedPassForEveryRowKind) {
   }
 }
 
+// Circuits of one fixed-shape device kind each, so a bound pass proves
+// that kind bound: relays (one with gate leakage), resistors, and voltage
+// sources (one with series resistance).
+std::unique_ptr<spice::Circuit> single_kind_circuit(const std::string& kind) {
+  auto ckt = std::make_unique<spice::Circuit>();
+  const auto a = ckt->node("a");
+  const auto b = ckt->node("b");
+  const auto c = ckt->node("c");
+  const auto d = ckt->node("d");
+  if (kind == "NemRelay") {
+    ckt->add<devices::NemRelay>("N1", a, b, c, d);
+    devices::NemRelayParams leaky;
+    leaky.gate_leak_g = 1e-9;
+    ckt->add<devices::NemRelay>("N2", c, a, spice::kGround, b, leaky);
+  } else if (kind == "Resistor") {
+    ckt->add<devices::Resistor>("R1", a, b, 1e3);
+    ckt->add<devices::Resistor>("R2", b, spice::kGround, 2.2e3);
+    ckt->add<devices::Resistor>("R3", c, d, 4.7e4);
+  } else {
+    ckt->add<devices::VSource>("V1", a, spice::kGround, 1.0);
+    ckt->add<devices::VSource>("V2", b, c, 0.4, 50.0);
+    ckt->add<devices::VSource>(
+        "V3", d, a,
+        std::make_unique<spice::PwlWave>(
+            std::vector<std::pair<double, double>>{{0.0, 0.0}, {2e-9, 0.8}}));
+  }
+  return ckt;
+}
+
+TEST(StampBinding, BoundPassEqualsRecordedPassForRelaysResistorsAndSources) {
+  for (const std::string kind : {"NemRelay", "Resistor", "VSource"}) {
+    SCOPED_TRACE(kind);
+    const auto ckt = single_kind_circuit(kind);
+    const std::size_t n = static_cast<std::size_t>(ckt->unknown_count());
+    util::Rng rng(11);
+    std::vector<double> v(n), v_prev(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = rng.uniform(-1.0, 1.5);
+      v_prev[i] = rng.uniform(-1.0, 1.5);
+    }
+    for (const Integrator integ :
+         {Integrator::BackwardEuler, Integrator::Trapezoidal}) {
+      SCOPED_TRACE(integ == Integrator::Trapezoidal ? "trap" : "be");
+      const StampContext ctx(1e-9, 1e-12, false, ckt->node_unknowns(), &v,
+                             &v_prev, integ);
+      std::vector<double> rhs;
+
+      AssemblyCache fresh;
+      assemble(*ckt, fresh, ctx, rhs);
+      assemble(*ckt, fresh, ctx, rhs);
+      ASSERT_EQ(fresh.stats().bound_passes, 0u);
+      const Assembled recorded = snapshot(fresh, rhs);
+
+      AssemblyCache cache;
+      assemble(*ckt, cache, ctx, rhs);
+      assemble(*ckt, cache, ctx, rhs);
+      EXPECT_EQ(assemble(*ckt, cache, ctx, rhs), 1);
+      EXPECT_EQ(cache.stats().bound_passes, 1u);
+      EXPECT_EQ(cache.stats().pattern_builds, 1u);
+      expect_identical(snapshot(cache, rhs), recorded);
+    }
+  }
+}
+
 // A second cache over the same devices (the perfbench probe, the ERC
 // rules and structural_singularity_report all stamp into their own) must
 // never honour bindings made against the first, nor may a destroyed and
@@ -271,6 +336,84 @@ TEST(StampBinding, ShapeChangeBeforeABoundDeviceIsReRecorded) {
   assemble(ckt, fresh, ctx, fresh_rhs);
   assemble(ckt, cache, ctx, rhs);
   expect_identical(snapshot(cache, rhs), snapshot(fresh, fresh_rhs));
+}
+
+// A conductance a–b that narrows to a–ground after a few accepted steps:
+// a shape change in the middle of a run.
+class CountdownShifter final : public spice::Device {
+ public:
+  CountdownShifter(spice::NodeId a, spice::NodeId b, int commits)
+      : Device("countdown"), a_(a), b_(b), left_(commits) {}
+  unsigned hooks() const override { return 0; }
+  void stamp(Stamper& s, const StampContext&) override {
+    s.conductance(a_, left_ > 0 ? b_ : spice::kGround, 1e-4);
+  }
+  void commit(const StampContext&) override {
+    if (left_ > 0) --left_;
+  }
+
+ private:
+  spice::NodeId a_, b_;
+  int left_;
+};
+
+// An RC ladder of 300 devices with the shifter in its middle, run with the
+// device loop split across `pool` (nullptr: inline).
+spice::TransientResult run_shifting_ladder(util::ThreadPool* pool,
+                                           AssemblyCache::Stats& stats) {
+  spice::Circuit ckt;
+  spice::NodeId prev = ckt.node("in");
+  ckt.add<devices::VSource>(
+      "Vin", prev, spice::kGround,
+      std::make_unique<spice::PwlWave>(std::vector<std::pair<double, double>>{
+          {0.0, 0.0}, {10e-12, 0.0}, {30e-12, 1.0}}));
+  for (int k = 0; k < 150; ++k) {
+    const std::string idx = std::to_string(k);
+    const spice::NodeId next = ckt.node("n" + idx);
+    ckt.add<devices::Resistor>("R" + idx, prev, next, 200.0);
+    ckt.add<devices::Capacitor>("C" + idx, next, spice::kGround, 1e-15);
+    if (k == 75) ckt.add<CountdownShifter>(prev, next, 6);
+    prev = next;
+  }
+  ckt.set_solver_pool(pool);
+  const spice::TransientResult r =
+      spice::run_transient(ckt, spice::step_defaults(200e-12, 5e-12));
+  stats = ckt.solver_cache().stats();
+  return r;
+}
+
+// A device changing its stamp shape mid-run voids the split replay it
+// deviates in (whichever device range it sits in) and is re-recorded
+// exactly as on the inline loop.
+TEST(ParallelAssembly, ShapeChangeUnderSplitPassIsReRecorded) {
+  AssemblyCache::Stats inline_stats;
+  const spice::TransientResult ref = run_shifting_ladder(nullptr, inline_stats);
+  ASSERT_TRUE(ref.finished) << ref.failure;
+  EXPECT_EQ(inline_stats.pattern_builds, 2u);
+  EXPECT_EQ(inline_stats.parallel_passes, 0u);
+
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    util::ThreadPool pool(threads);
+    AssemblyCache::Stats stats;
+    const spice::TransientResult r = run_shifting_ladder(&pool, stats);
+    ASSERT_TRUE(r.finished) << r.failure;
+    EXPECT_EQ(stats.pattern_builds, 2u);  // the original and the re-record
+    EXPECT_EQ(stats.assemblies, inline_stats.assemblies);
+    EXPECT_GT(stats.parallel_passes, 0u);
+    EXPECT_GT(stats.bound_passes, 0u);
+    // Every successful replay ran split.
+    EXPECT_EQ(stats.parallel_passes,
+              stats.assemblies - stats.pattern_builds - 1);
+    EXPECT_EQ(r.steps_taken, ref.steps_taken);
+    EXPECT_EQ(r.newton_iterations, ref.newton_iterations);
+    ASSERT_EQ(r.samples.size(), ref.samples.size());
+    for (std::size_t i = 0; i < r.samples.size(); ++i)
+      ASSERT_TRUE(same_bits(r.samples[i].data(), ref.samples[i].data(),
+                            r.samples[i].size()))
+          << "sample " << i;
+    EXPECT_EQ(r.total_source_energy(), ref.total_source_energy());
+  }
 }
 
 // The transient loop calls event_function, max_dt_hint, power and

@@ -12,14 +12,16 @@
 #      bound stamps that write through recorded slot indices, under the
 #      sanitizers)
 #   3. TSan build (preset `tsan`) + the `array` and `solver` labels: the
-#      threaded Schur accumulation and the integrator paths it calls are
-#      the only concurrency in the repo, so those labels are the race
+#      threaded Schur accumulation, the split device stamping and gather
+#      of a pooled circuit's replay passes, and its parallel accepted-step
+#      hooks are the solver's concurrency, so those labels are the race
 #      surface
-#   4. repeat stage: the thread pool, sweep fan-out, per-thread EKV memo
-#      and array thread-count determinism tests run until they fail, up to
-#      50 times each, on the release build (preset `repeat`) and under
-#      TSan (preset `repeat-tsan`), so an intermittent race fails CI
-#      instead of passing most runs
+#   4. repeat stage: the thread pool, sweep fan-out, per-thread EKV memo,
+#      array thread-count and pool-size determinism and split-replay
+#      shape-change tests run until they fail, up to 50 times each, on the
+#      release build (preset `repeat`) and under TSan (preset
+#      `repeat-tsan`), so an intermittent race fails CI instead of passing
+#      most runs
 #   5. lint build (preset `lint`): -Wall -Wextra -Wshadow -Werror, plus
 #      clang-tidy when installed (the CMake option degrades gracefully)
 #   6. static ERC + STA margin rules over the shipped example decks
